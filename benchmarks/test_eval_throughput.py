@@ -12,9 +12,11 @@ evaluation path:
   same simulated clock — the lanes are byte-identical by construction.
 
 - **End-to-end campaign** — a duplicate-heavy trial sequence over the
-  Pl@ntNet scenario. The baseline arm disables the fast lane, warm
-  deployment reuse, and the evaluation cache (the pre-PR path: every
-  trial re-places the deployment and re-simulates). The fast arm enables
+  Pl@ntNet scenario. The baseline arm disables warm deployment reuse and
+  the evaluation cache, and emulates the pre-fast-lane engine by routing
+  every raw-number delay through a ``LegacyTimeout`` carrier (see
+  :func:`_legacy_delays`; the pre-PR path: every trial re-places the
+  deployment and re-simulates on per-wait events). The fast arm enables
   all three, so repeated configurations hit the
   :class:`~repro.search.evalcache.EvalCache` and unique ones simulate on
   the fast lane against a warm deployment. Trial results must match the
@@ -29,7 +31,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from typing import Any, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Any, Iterator, Optional
 
 from benchmarks.conftest import save_results
 from repro.plantnet.scenario import PlantNetScenario
@@ -68,6 +71,31 @@ class LegacyTimeout(Event):
         self._ok = True
         self._value = None
         env.schedule(self, NORMAL, delay)
+
+
+@contextmanager
+def _legacy_delays() -> Iterator[None]:
+    """Emulate the pre-fast-lane engine for the length of the block.
+
+    A process that yields a raw number is resumed through
+    ``Environment._schedule_resume``. Swapping it for a ``LegacyTimeout``
+    carrier (subscribed through the ordinary callback list) makes every
+    simulated delay pay the old per-wait event cost, while pushing the
+    same NORMAL heap entry — so the simulation, and every objective, is
+    unchanged.
+    """
+    original = Environment._schedule_resume
+
+    def schedule_resume(env: Environment, process: Any, delay: float) -> Event:
+        event = LegacyTimeout(env, delay)
+        event.callbacks.append(process._resume)
+        return event
+
+    Environment._schedule_resume = schedule_resume  # type: ignore[method-assign]
+    try:
+        yield
+    finally:
+        Environment._schedule_resume = original  # type: ignore[method-assign]
 
 
 def _delay_plan() -> list[tuple[float, ...]]:
@@ -171,7 +199,6 @@ def _campaign_arm(*, fast: bool) -> tuple[dict[str, Any], list[dict[str, float]]
         base_seed=SEED,
         use_testbed=True,
         warm_reuse=fast,
-        fast_lane=fast,
     )
     cache = None
     if fast:
@@ -198,7 +225,8 @@ def _campaign_arm(*, fast: bool) -> tuple[dict[str, Any], list[dict[str, float]]
     )
     t0 = time.perf_counter()
     try:
-        analysis = runner.run()
+        with nullcontext() if fast else _legacy_delays():
+            analysis = runner.run()
     finally:
         scenario.close()
     wall = time.perf_counter() - t0

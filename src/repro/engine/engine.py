@@ -56,19 +56,12 @@ class IdentificationEngine:
         seed: int = 0,
         client_path: Optional[NetworkPath] = None,
         trace: bool = False,
-        fast_lane: bool = True,
     ) -> None:
         self.config = config
         self.workload = workload or WorkloadSpec()
         self.params = params or EngineModelParams()
         self.seed = int(seed)
         self.client_path = client_path
-        #: when True, plain-delay waits yield raw numbers so the simcore
-        #: fast lane recycles the carrier event instead of allocating a
-        #: Timeout per simulated stage. Both lanes push one NORMAL heap
-        #: entry per wait, so the event ordering — and therefore every
-        #: simulated metric — is identical either way.
-        self._fast_lane = bool(fast_lane)
 
         self.env = simcore.Environment()
         self.cpu = CpuContentionModel(
@@ -115,12 +108,6 @@ class IdentificationEngine:
             return 1.0
         return float(self._rng.lognormal(self._mu, self._sigma))
 
-    def _delay(self, duration: float) -> Any:
-        """A plain virtual delay: raw number on the fast lane, else a Timeout."""
-        if self._fast_lane:
-            return duration
-        return self.env.timeout(duration)
-
     # -- pipeline stages ------------------------------------------------------------
 
     def _cpu_stage(
@@ -138,7 +125,7 @@ class IdentificationEngine:
         self.cpu.acquire(draw, env.now)
         try:
             duration = base * slowdown * self._noise()
-            yield self._delay(duration)
+            yield duration
         finally:
             self.cpu.release(draw, env.now)
         self.metrics.record_task(task, duration, env.now)
@@ -153,7 +140,7 @@ class IdentificationEngine:
         try:
             network = p.image_bytes / p.download_bandwidth
             duration = (network + p.t_download_cpu * slowdown) * self._noise()
-            yield self._delay(duration)
+            yield duration
         finally:
             self.cpu.release(draw, env.now)
         self.metrics.record_task(TaskType.DOWNLOAD, duration, env.now)
@@ -172,7 +159,7 @@ class IdentificationEngine:
         self.cpu.acquire(p.w_extract_spin, env.now)
         try:
             gpu_time = self.gpu.inference_time(concurrency) * self._noise()
-            yield self._delay(gpu_time)
+            yield gpu_time
         finally:
             self.gpu.stream_finished()
             self.cpu.release(p.w_extract_spin, env.now)
@@ -181,7 +168,7 @@ class IdentificationEngine:
         draw = p.w_extract / slowdown
         self.cpu.acquire(draw, env.now)
         try:
-            yield self._delay(p.t_extract_cpu * slowdown * self._noise())
+            yield p.t_extract_cpu * slowdown * self._noise()
         finally:
             self.cpu.release(draw, env.now)
         self.metrics.record_task(TaskType.EXTRACT, env.now - start, env.now)
@@ -289,7 +276,7 @@ class IdentificationEngine:
         assert self.workload.population_schedule is not None
         for start, population in self.workload.population_schedule:
             if start > env.now:
-                yield self._delay(start - env.now)
+                yield start - env.now
             self._allowed_population = population
             for index in sorted(self._parked):
                 if index < population:
@@ -313,7 +300,7 @@ class IdentificationEngine:
         rng = spawn_rng(derive_seed(self.seed, "arrivals"))
         while env.now < duration:
             for gap in rng.exponential(scale, size=_ARRIVAL_BATCH):
-                yield self._delay(float(gap))
+                yield float(gap)
                 env.process(self._lifecycle(), name="request")
                 if env.now >= duration:
                     return
@@ -329,7 +316,7 @@ class IdentificationEngine:
             if stamp >= duration:
                 return
             if stamp > env.now:
-                yield self._delay(stamp - env.now)
+                yield stamp - env.now
             env.process(self._lifecycle(), name="request")
 
     def _scheduled_source(self) -> Generator[simcore.Event, None, None]:
@@ -357,7 +344,7 @@ class IdentificationEngine:
                 # idle segment: no arrivals, the pending work is preserved
                 if end >= duration:
                     return
-                yield self._delay(end - env.now)
+                yield end - env.now
                 index += 1
                 continue
             if carry > 0.0:
@@ -365,10 +352,10 @@ class IdentificationEngine:
                 carry = 0.0
                 if env.now + gap >= end and end < duration:
                     carry = (env.now + gap - end) * rate
-                    yield self._delay(end - env.now)
+                    yield end - env.now
                     index += 1
                     continue
-                yield self._delay(gap)
+                yield gap
                 env.process(self._lifecycle(), name="request")
                 if env.now >= duration:
                     return
@@ -378,10 +365,10 @@ class IdentificationEngine:
                 gap = float(gap)
                 if env.now + gap >= end and end < duration:
                     carry = (env.now + gap - end) * rate
-                    yield self._delay(end - env.now)
+                    yield end - env.now
                     index += 1
                     break
-                yield self._delay(gap)
+                yield gap
                 env.process(self._lifecycle(), name="request")
                 if env.now >= duration:
                     return
@@ -400,7 +387,7 @@ class IdentificationEngine:
         prev_busy = {name: self.pools[name].busy_integral() for name in POOL_NAMES}
 
         while env.now < wl.duration:
-            yield self._delay(interval)
+            yield interval
             now = env.now
             cpu_int = self.cpu.usage_integral(now)
             cpu_usage = (cpu_int - prev_cpu) / interval
@@ -592,7 +579,6 @@ def simulate_engine(
     params: EngineModelParams | None = None,
     seed: int = 0,
     client_path: Optional[NetworkPath] = None,
-    fast_lane: bool = True,
 ) -> EngineRunResult:
     """Convenience one-call engine simulation (one repetition)."""
     workload = WorkloadSpec(
@@ -601,7 +587,5 @@ def simulate_engine(
         sample_interval=sample_interval,
         warmup=warmup,
     )
-    engine = IdentificationEngine(
-        config, workload, params, seed=seed, client_path=client_path, fast_lane=fast_lane
-    )
+    engine = IdentificationEngine(config, workload, params, seed=seed, client_path=client_path)
     return engine.run()

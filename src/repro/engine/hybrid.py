@@ -205,7 +205,6 @@ class HybridEngine:
         *,
         knobs: HybridKnobs | None = None,
         seed: int = 0,
-        fast_lane: bool = True,
     ) -> None:
         if workload.mode != "open":
             raise ValidationError("HybridEngine needs an open-loop workload")
@@ -224,7 +223,6 @@ class HybridEngine:
         self.knobs = knobs or HybridKnobs()
         self.seed = int(seed)
         self.schedule = schedule
-        self._fast_lane = bool(fast_lane)
         self.analytic = AnalyticEngineModel(self.params)
         self._engine: Optional[IdentificationEngine] = None
         self._rebuilds = 0
@@ -248,7 +246,6 @@ class HybridEngine:
                 WorkloadSpec(duration=self.workload.duration, warmup=0.0),
                 self.params,
                 seed=derive_seed(self.seed, "hybrid-engine", self._rebuilds),
-                fast_lane=self._fast_lane,
             )
             self._engine = engine
         if engine.env.now < now:
@@ -271,7 +268,7 @@ class HybridEngine:
             gap = float(rng.exponential(scale))
             if env.now + gap >= until:
                 return
-            yield engine._delay(gap)
+            yield gap
             env.process(engine._lifecycle(), name="request")
 
     def _prime(self, engine: IdentificationEngine, count: int) -> None:
@@ -658,7 +655,6 @@ def simulate_hybrid(
     params: EngineModelParams | None = None,
     knobs: HybridKnobs | None = None,
     seed: int = 0,
-    fast_lane: bool = True,
 ) -> HybridRunResult:
     """Convenience one-call hybrid simulation of an arrival schedule."""
     workload = WorkloadSpec(
@@ -666,7 +662,5 @@ def simulate_hybrid(
         duration=duration,
         warmup=0.0,
     )
-    engine = HybridEngine(
-        config, workload, params, knobs=knobs, seed=seed, fast_lane=fast_lane
-    )
+    engine = HybridEngine(config, workload, params, knobs=knobs, seed=seed)
     return engine.run()

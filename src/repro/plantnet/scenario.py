@@ -95,7 +95,6 @@ class PlantNetScenario:
         base_seed: int = 0,
         use_testbed: bool = True,
         warm_reuse: bool = True,
-        fast_lane: bool = True,
         arrival_schedule: ArrivalSchedule | None = None,
         engine_mode: str = "des",
         hybrid_knobs: HybridKnobs | None = None,
@@ -111,8 +110,6 @@ class PlantNetScenario:
         #: Deployment.reconfigure() instead of re-placing every trial
         #: (the paper's reconfiguration phase; see DESIGN.md).
         self.warm_reuse = bool(warm_reuse)
-        #: forwarded to the engine DES (plain-delay fast lane).
-        self.fast_lane = bool(fast_lane)
         #: open-loop demand curve: when set, runs replace the paper's
         #: closed-loop population with this schedule (e.g. from
         #: :meth:`repro.plantnet.growth.UserGrowthModel.arrival_schedule`).
@@ -260,9 +257,8 @@ class PlantNetScenario:
         Feeds the :class:`~repro.search.evalcache.EvalCache` key, so two
         scenarios differing in seeds, durations, or model parameters never
         share cache entries. Execution knobs (``warm_reuse``,
-        ``use_testbed``, ``fast_lane``) are deliberately excluded — they
-        change *how* a trial runs, not *what* it measures (the fast lane
-        is byte-identical by construction).
+        ``use_testbed``) are deliberately excluded — they change *how* a
+        trial runs, not *what* it measures.
         """
         out: dict[str, Any] = {
             "params": self.params.to_dict(),
@@ -348,7 +344,6 @@ class PlantNetScenario:
                         self.params,
                         knobs=self.hybrid_knobs,
                         seed=seed_rep,
-                        fast_lane=self.fast_lane,
                     ).run()
                 )
             else:
@@ -358,7 +353,6 @@ class PlantNetScenario:
                     self.params,
                     seed=seed_rep,
                     client_path=client_path,
-                    fast_lane=self.fast_lane,
                 )
                 runs.append(engine.run())
 

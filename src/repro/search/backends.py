@@ -2,7 +2,10 @@
 
 The runner's main loop is backend-agnostic: it suggests configurations,
 hands trials to a backend, and folds completed outcomes back into the
-search algorithm. Backends own *where and how* a trial executes:
+search algorithm. Backends own only *where* a trial executes; every one of
+them runs it through :func:`~repro.search.execution.execute_trial` and
+hands the resulting outcome payload to the one
+:meth:`ExecutionBackend.collect`:
 
 - :class:`SyncBackend` — deterministic sequential execution in the caller
   thread (tests, debugging).
@@ -43,9 +46,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import TrialError, ValidationError
-from repro.search.execution import pool_init, process_entry
+from repro.search.execution import execute_trial, pool_init
 from repro.search.store import DEFAULT_LEASE_S, TrialStore
-from repro.search.trial import Trial, TrialStatus
+from repro.search.trial import Trial
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.search.runner import TrialRunner
@@ -66,9 +69,12 @@ __all__ = [
 class ExecutionBackend(abc.ABC):
     """One way of executing trials on behalf of a :class:`TrialRunner`.
 
-    A backend is constructed per run with the owning runner (a friend
-    object: backends drive the runner's observability and retry helpers so
-    every backend reports costs and spans identically). Lifecycle::
+    A backend is constructed per run with the owning runner, whose
+    trainable and retry/timeout knobs it ships to
+    :func:`~repro.search.execution.execute_trial`. A submitted future
+    resolves to that function's outcome payload; :meth:`collect` folds it
+    through :meth:`TrialRunner._fold_worker_payload`, so every backend
+    reports results, costs and spans identically. Lifecycle::
 
         backend.start()
         future = backend.submit(trial)        # any number of times
@@ -103,11 +109,29 @@ class ExecutionBackend(abc.ABC):
         return done
 
     def collect(self, future: Future, trial: Trial) -> None:
-        """Fold a completed future's outcome into ``trial``."""
-        future.result()  # propagate unexpected harness errors only
+        """Fold a completed future's outcome payload into ``trial``."""
+        try:
+            payload = future.result()
+        except Exception as exc:  # noqa: BLE001 - harness failure (pickling, pool death)
+            payload = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        self.runner._fold_worker_payload(trial, payload)
 
     def shutdown(self, cancel: bool = False) -> None:
         """Release resources; ``cancel`` abandons queued work."""
+
+    def _execute(self, trial: Trial, submitted_unix: float | None = None) -> dict[str, Any]:
+        """Run ``trial`` in this process, with mid-trial reporting if wanted."""
+        runner = self.runner
+        return execute_trial(
+            runner.trainable,
+            dict(trial.config),
+            runner.max_retries,
+            runner.retry_backoff_s,
+            runner.trial_timeout_s,
+            trial.trial_id,
+            submitted_unix,
+            runner._reporter_factory(trial),
+        )
 
 
 class SyncBackend(ExecutionBackend):
@@ -120,9 +144,8 @@ class SyncBackend(ExecutionBackend):
         return 1
 
     def submit(self, trial: Trial) -> Future:
-        self.runner._execute_with_retry(trial)
         future: Future = Future()
-        future.set_result(None)
+        future.set_result(self._execute(trial))
         return future
 
 
@@ -135,16 +158,14 @@ class ThreadBackend(ExecutionBackend):
         self._pool = ThreadPoolExecutor(max_workers=self.runner.max_workers)
 
     def submit(self, trial: Trial) -> Future:
-        trial.status = TrialStatus.RUNNING
-        trial._submitted = time.perf_counter()
-        return self._pool.submit(self.runner._run_threaded, trial)
+        return self._pool.submit(self._execute, trial, time.time())
 
     def shutdown(self, cancel: bool = False) -> None:
         self._pool.shutdown(wait=True, cancel_futures=cancel)
 
 
 class ProcessBackend(ExecutionBackend):
-    """Process-pool execution via the picklable :func:`process_entry`."""
+    """Process-pool execution via the picklable :func:`execute_trial`."""
 
     name = "process"
     supports_mid_trial_scheduling = False
@@ -161,12 +182,9 @@ class ProcessBackend(ExecutionBackend):
 
     def submit(self, trial: Trial) -> Future:
         runner = self.runner
-        trial.status = TrialStatus.RUNNING
-        trial._submitted = time.perf_counter()
-        trial._start = time.perf_counter()
         # trainable=None: the worker uses its pool_init registration.
         return self._pool.submit(
-            process_entry,
+            execute_trial,
             None,
             dict(trial.config),
             runner.max_retries,
@@ -175,15 +193,6 @@ class ProcessBackend(ExecutionBackend):
             trial.trial_id,
             time.time(),  # wall clock: the only timeline workers share
         )
-
-    def collect(self, future: Future, trial: Trial) -> None:
-        payload: Any = None
-        try:
-            payload = future.result()
-        except Exception as exc:  # noqa: BLE001 - harness failure (pickling, pool death)
-            trial.error = f"{type(exc).__name__}: {exc}"
-            trial.status = TrialStatus.ERROR
-        self.runner._fold_worker_payload(trial, payload)
 
     def shutdown(self, cancel: bool = False) -> None:
         self._pool.shutdown(wait=True, cancel_futures=cancel)
@@ -284,9 +293,6 @@ class StoreBackend(ExecutionBackend):
                 )
 
     def submit(self, trial: Trial) -> Future:
-        trial.status = TrialStatus.RUNNING
-        trial._submitted = time.perf_counter()
-        trial._start = time.perf_counter()
         self.store.add_trial(trial.trial_id, trial.config)
         future: Future = Future()
         self._trial_ids[future] = trial.trial_id
@@ -345,14 +351,6 @@ class StoreBackend(ExecutionBackend):
                 "unfinished and no live leases — see the worker logs in "
                 f"{self.store.root}"
             )
-
-    def collect(self, future: Future, trial: Trial) -> None:
-        payload = future.result()
-        if not isinstance(payload, dict):
-            trial.error = "store worker recorded no structured outcome"
-            trial.status = TrialStatus.ERROR
-            payload = None
-        self.runner._fold_worker_payload(trial, payload)
 
     def shutdown(self, cancel: bool = False) -> None:
         self.store.close()

@@ -8,29 +8,35 @@ trial scheduler on intermediate results, and returns an
 
 Executor notes
 --------------
-- ``"sync"`` — deterministic sequential execution (tests, debugging).
-- ``"thread"`` — overlapped trials; supports schedulers and intermediate
+Every executor runs a trial through the same
+:func:`~repro.search.execution.execute_trial` — one retry/timeout loop,
+one taint rule, ``SystemExit`` as one trial's error — and the runner folds
+the returned outcome payload through :meth:`TrialRunner._fold_worker_payload`.
+The executors differ only in where that function runs:
+
+- ``"sync"`` — in the caller, one trial at a time (tests, debugging); it
+  reports no queue wait.
+- ``"thread"`` — on a thread pool; supports schedulers and intermediate
   reporting. Best when the trainable releases the GIL or is I/O-bound;
   also what gives the constant-liar asynchronous semantics without
   pickling constraints.
-- ``"process"`` — true CPU parallelism for pure-Python trainables (the
-  engine DES). The trainable must be picklable (a top-level function);
-  intermediate reporting/schedulers are unsupported across the process
-  boundary, so the scheduler must be FIFO.
-- ``"store"`` — distributed execution through a shared file-backed
-  :class:`~repro.search.store.TrialStore`: trials are persisted to a
-  crash-safe ledger and claimed under lease+heartbeat by elastic workers
-  (local children and/or ``python -m repro worker <run-dir>`` joiners).
-  Configure with ``backend_options={"store_dir": ...}``.
+- ``"process"`` — in process-pool children: true CPU parallelism for
+  pure-Python trainables (the engine DES). The trainable must be picklable
+  (a top-level function); intermediate reporting/schedulers are
+  unsupported across the process boundary, so the scheduler must be FIFO.
+- ``"store"`` — in elastic workers that claim trials from a shared
+  file-backed :class:`~repro.search.store.TrialStore` under
+  lease+heartbeat (local children and/or ``python -m repro worker
+  <run-dir>`` joiners). Configure with ``backend_options={"store_dir": ...}``.
 
-The runner's main loop is backend-agnostic — suggest, submit, wait, fold —
-and every backend reports through the same observability spine (trial
-spans, queue-wait/evaluate costs, fabric telemetry merge), so analyses are
-comparable across executors.
+The main loop is backend-agnostic — suggest, submit, wait, fold — so trial
+spans, queue-wait/evaluate costs and the fabric telemetry merge are the
+same on every executor.
 """
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from concurrent.futures import Future
@@ -39,7 +45,6 @@ from typing import Any, Callable, Optional
 
 from repro.bayesopt.space import Space
 from repro.errors import TrialError, ValidationError
-from repro.faults.context import injection_occurred, reset_injection_flag, set_current_attempt
 from repro.observability import fabric
 from repro.observability.digest import get_perf
 from repro.observability.metrics import get_registry
@@ -48,19 +53,9 @@ from repro.observability.trace import Tracer, get_tracer
 from repro.search.algos import SearchAlgorithm, SurrogateSearch
 from repro.search.backends import backend_class, create_backend
 from repro.search.evalcache import EvalCache
-
-# Worker-side primitives live in repro.search.execution; the historic
-# underscore names stay importable from here for callers and tests.
-from repro.search.execution import (
-    Trainable,
-    attempt_once as _attempt_once,  # noqa: F401 - re-export
-    normalize_result as _normalize_result,
-    pool_init as _pool_init,  # noqa: F401 - re-export
-    process_attempts as _process_attempts,  # noqa: F401 - re-export
-    process_entry as _process_entry,  # noqa: F401 - re-export
-)
+from repro.search.execution import Trainable, normalize_result
 from repro.search.schedulers import FIFOScheduler, TrialDecision, TrialScheduler
-from repro.search.trial import Reporter, StopTrial, Trial, TrialStatus
+from repro.search.trial import Reporter, Trial, TrialStatus
 
 __all__ = ["TrialRunner", "ExperimentAnalysis", "run"]
 
@@ -69,6 +64,14 @@ __all__ = ["TrialRunner", "ExperimentAnalysis", "run"]
 #: searcher's ``state_dict()`` (refit cadence, hedge gains) so ``--resume``
 #: restores the optimization cadence, not just the observations.
 Checkpointer = Callable[..., Any]
+
+
+def _takes_reporter(trainable: Trainable) -> bool:
+    """Whether the trainable takes a second (:class:`Reporter`) argument."""
+    try:
+        return len(inspect.signature(trainable).parameters) >= 2
+    except (TypeError, ValueError):
+        return False
 
 
 @dataclass
@@ -212,6 +215,8 @@ class TrialRunner:
         self._resume_searcher_state = resume_searcher_state
         self._checkpoint = checkpoint
         self._checkpoint_takes_state = self._accepts_state(checkpoint)
+        #: whether the trainable takes a second (reporter) argument.
+        self._wants_reporter = _takes_reporter(trainable)
         self.checkpoint_every = int(checkpoint_every)
         #: memoizing trial cache consulted before executor submission.
         self.eval_cache = eval_cache
@@ -231,8 +236,6 @@ class TrialRunner:
         """Whether the checkpointer takes a second (searcher state) argument."""
         if checkpoint is None:
             return False
-        import inspect
-
         try:
             params = list(inspect.signature(checkpoint).parameters.values())
         except (TypeError, ValueError):
@@ -341,143 +344,22 @@ class TrialRunner:
         span.set("status", trial.status.value)
         tracer.end_span(span, error=trial.error)
 
-    def _record_queue_wait(self, trial: Trial) -> None:
-        """Record the executor queue wait (submit → worker pickup)."""
-        submitted = trial._submitted
-        if submitted is None:
-            return
-        wait_s = time.perf_counter() - submitted
-        trial.cost["queue_wait_s"] = wait_s
-        get_perf().record("queue_wait", wait_s)
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        with self._lock:
-            parent = self._trial_spans.get(trial.trial_id)
-        span = tracer.start_span(
-            "queue-wait",
-            parent=parent,
-            start=tracer.clock() - wait_s,
-            trial_id=trial.trial_id,
-        )
-        tracer.end_span(span)
-
     # -- single-trial execution -----------------------------------------------------
 
-    def _wants_reporter(self) -> bool:
-        import inspect
+    def _reporter_factory(self, trial: Trial) -> Optional[Callable[[], Reporter]]:
+        """Per-attempt :class:`Reporter` builder, if the trainable takes one.
 
-        try:
-            params = inspect.signature(self.trainable).parameters
-        except (TypeError, ValueError):
-            return False
-        return len(params) >= 2
-
-    def _execute_inline(self, trial: Trial, attempt: int = 0) -> None:
-        reporter = Reporter(trial, self._on_report, self._lock)
-        set_current_attempt(attempt)
-        reset_injection_flag()
-        start = time.perf_counter()
-        trial.status = TrialStatus.RUNNING
-        try:
-            if self._wants_reporter():
-                raw = self.trainable(dict(trial.config), reporter)
-            else:
-                raw = self.trainable(dict(trial.config))
-            trial.result = _normalize_result(raw, self.metric)
-            trial.status = TrialStatus.TERMINATED
-        except StopTrial:
-            # Early-stopped: score with the last intermediate value.
-            last = trial.intermediate[-1][1] if trial.intermediate else float("nan")
-            trial.result = {self.metric: last}
-            trial.status = TrialStatus.STOPPED
-        except Exception as exc:  # noqa: BLE001 - recorded on the trial
-            trial.error = f"{type(exc).__name__}: {exc}"
-            trial.status = TrialStatus.ERROR
-        if injection_occurred():
-            # Read here, on the thread that ran the attempt (thread-local
-            # flag); the cache refuses results carrying this marker.
-            trial.cost["fault_injected"] = 1.0
-        trial.runtime_s = time.perf_counter() - start
-        trial.cost["evaluate_s"] = trial.runtime_s
-        get_perf().record("evaluate", trial.runtime_s)
-        self._record_execute_span(trial, trial.runtime_s)
-
-    def _run_attempt(self, scratch: Trial, attempt: int) -> bool:
-        """Run one attempt; ``False`` means it hit the per-trial timeout.
-
-        With a timeout configured the attempt runs on its own daemon thread
-        against a *scratch* trial; on timeout the thread is abandoned (Python
-        cannot preempt it) but only ever mutates the scratch object, so the
-        real trial stays consistent for the retry.
+        Each attempt reports into its own scratch trial, so an abandoned
+        timed-out attempt never mutates ``trial``; the final attempt's
+        reports come back in the outcome payload.
         """
-        if self.trial_timeout_s is None:
-            self._execute_inline(scratch, attempt)
-            return True
-        worker = threading.Thread(
-            target=self._execute_inline,
-            args=(scratch, attempt),
-            name=f"trial-{scratch.trial_id}-attempt{attempt}",
-            daemon=True,
+        if not self._wants_reporter:
+            return None
+        return lambda: Reporter(
+            Trial(trial_id=trial.trial_id, config=dict(trial.config)),
+            self._on_report,
+            self._lock,
         )
-        worker.start()
-        worker.join(self.trial_timeout_s)
-        return not worker.is_alive()
-
-    def _execute_with_retry(self, trial: Trial) -> None:
-        """Execute a trial with per-attempt timeout and retry-with-backoff.
-
-        A failed or hung attempt is retried up to ``max_retries`` times; the
-        attempt index is published through :mod:`repro.faults.context` so
-        stochastic components (fault injectors, seeded evaluators) draw a
-        fresh stream per attempt. Retry/timeout counts are recorded on
-        ``trial.cost`` and exported through the metrics registry.
-        """
-        if self.max_retries == 0 and self.trial_timeout_s is None:
-            self._execute_inline(trial)
-            return
-        trial.status = TrialStatus.RUNNING
-        retries = 0
-        timeouts = 0
-        total_runtime = 0.0
-        attempts = self.max_retries + 1
-        for attempt in range(attempts):
-            scratch = Trial(trial_id=trial.trial_id, config=dict(trial.config))
-            completed = self._run_attempt(scratch, attempt)
-            with self._lock:
-                trial.intermediate = list(scratch.intermediate)
-            if completed:
-                trial.result = scratch.result
-                trial.error = scratch.error
-                trial.status = scratch.status
-                total_runtime += scratch.runtime_s
-                # Mirror the final attempt's injected-fault marker.
-                if scratch.cost.get("fault_injected"):
-                    trial.cost["fault_injected"] = 1.0
-                else:
-                    trial.cost.pop("fault_injected", None)
-            else:
-                timeouts += 1
-                trial.result = {}
-                trial.error = (
-                    f"TrialTimeout: attempt {attempt + 1} exceeded {self.trial_timeout_s}s"
-                )
-                trial.status = TrialStatus.ERROR
-                total_runtime += self.trial_timeout_s or 0.0
-                self._record_timeout_span(trial)
-            if trial.status in (TrialStatus.TERMINATED, TrialStatus.STOPPED):
-                break
-            if attempt < attempts - 1:
-                retries += 1
-                if self.retry_backoff_s > 0:
-                    time.sleep(self.retry_backoff_s * (2**attempt))
-        trial.runtime_s = total_runtime
-        trial.cost["evaluate_s"] = total_runtime
-        if retries:
-            trial.cost["retries"] = float(retries)
-        if timeouts:
-            trial.cost["timeouts"] = float(timeouts)
-        self._count_fault_metrics(retries, timeouts)
 
     def _count_fault_metrics(self, retries: int, timeouts: int) -> None:
         registry = get_registry()
@@ -491,21 +373,6 @@ class TrialRunner:
             registry.counter(
                 "repro_trial_timeouts_total", "trial attempts that hit the per-trial timeout"
             ).inc(timeouts)
-
-    def _record_timeout_span(self, trial: Trial) -> None:
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        with self._lock:
-            parent = self._trial_spans.get(trial.trial_id)
-        span = tracer.start_span(
-            "execute",
-            parent=parent,
-            start=tracer.clock() - (self.trial_timeout_s or 0.0),
-            trial_id=trial.trial_id,
-        )
-        span.set("status", "timeout")
-        tracer.end_span(span, error=trial.error)
 
     # -- evaluation cache -------------------------------------------------------------
 
@@ -532,19 +399,17 @@ class TrialRunner:
     def _cache_store(self, trial: Trial) -> None:
         """Admit a finished trial's result, unless tainted.
 
-        Only cleanly terminated results qualify; retried, timed-out,
-        fault-injected and early-stopped trials are refused, and a trial
-        that was itself served from the cache is not re-stored (it would
-        inflate the replicate count without a fresh measurement).
+        Only cleanly terminated results qualify; early-stopped trials and
+        trials carrying the ``fault_injected`` taint marker (fault-injected,
+        retried, timed-out or reclaimed) are refused, and a trial that was
+        itself served from the cache is not re-stored (it would inflate the
+        replicate count without a fresh measurement).
         """
         if self.eval_cache is None or trial.status is not TrialStatus.TERMINATED:
             return
         if trial.cost.get("cache_hit"):
             return
-        cost = trial.cost
-        tainted = bool(
-            cost.get("retries") or cost.get("timeouts") or cost.get("fault_injected")
-        )
+        tainted = bool(trial.cost.get("fault_injected"))
         self.eval_cache.store(trial.config, trial.result, tainted=tainted)
 
     def _on_report(self, trial: Trial, step: int, value: float) -> bool:
@@ -694,6 +559,8 @@ class TrialRunner:
                         else:
                             if self._board is not None and self._board.enabled:
                                 self._board.trial_started(trial.trial_id)
+                            trial.status = TrialStatus.RUNNING
+                            trial._start = time.perf_counter()
                             futures[backend.submit(trial)] = trial
                     if len(configs) < len(ids):
                         break  # limited/exhausted for now: drain first
@@ -729,69 +596,63 @@ class TrialRunner:
         self._flush_checkpoint()
         return self._analysis(trials, start)
 
-    def _run_threaded(self, trial: Trial) -> None:
-        self._record_queue_wait(trial)
-        self._execute_with_retry(trial)
-
     def _fold_worker_payload(self, trial: Trial, payload: Any) -> None:
-        """Fold a worker's structured outcome payload into ``trial``.
+        """Fold an outcome payload into ``trial`` — the one path for every backend.
 
         The payload is the shared wire format documented in
-        :mod:`repro.search.execution` — produced identically by process-pool
-        workers and store-backed distributed workers, so both backends share
-        this one folding path (status, retry/timeout/taint markers, the
-        parent-clamped cost split, and the fabric telemetry merge).
-        ``payload=None`` means a harness-level failure already recorded on
-        the trial by the backend; only the wall-clock accounting runs.
+        :mod:`repro.search.execution`, produced by
+        :func:`~repro.search.execution.execute_trial` on every executor.
+        It sets the status, the retry/timeout/taint markers, the cost
+        split (clamped to the parent-observed submit→collect wall, so clock
+        skew cannot inflate it), one ``execute`` span and, when present,
+        one ``queue-wait`` span, and merges fabric telemetry.
         """
-        if isinstance(payload, dict):
-            retries = int(payload.get("retries", 0))
-            timeouts = int(payload.get("timeouts", 0))
-            if retries:
-                trial.cost["retries"] = float(retries)
-            if timeouts:
-                trial.cost["timeouts"] = float(timeouts)
-            if payload.get("tainted"):
-                trial.cost["fault_injected"] = 1.0
-            if payload.get("reclaimed"):
-                # The trial was reclaimed from a dead worker's expired lease;
-                # the count is provenance (and the taint marker above keeps
-                # the measurement out of the evaluation cache).
-                trial.cost["reclaimed"] = float(payload["reclaimed"])
-            self._count_fault_metrics(retries, timeouts)
-            if payload.get("ok"):
-                try:
-                    trial.result = _normalize_result(payload["raw"], self.metric)
-                    trial.status = TrialStatus.TERMINATED
-                except Exception as exc:  # noqa: BLE001 - recorded on the trial
-                    trial.error = f"{type(exc).__name__}: {exc}"
-                    trial.status = TrialStatus.ERROR
-            else:
-                trial.error = str(payload.get("error") or "trial failed")
+        if not isinstance(payload, dict):
+            payload = {"ok": False, "error": "worker recorded no structured outcome"}
+        retries = int(payload.get("retries", 0))
+        timeouts = int(payload.get("timeouts", 0))
+        if retries:
+            trial.cost["retries"] = float(retries)
+        if timeouts:
+            trial.cost["timeouts"] = float(timeouts)
+        if payload.get("tainted"):
+            trial.cost["fault_injected"] = 1.0
+        if payload.get("reclaimed"):
+            # The trial was reclaimed from a dead worker's expired lease;
+            # the count is provenance (and the taint marker above keeps
+            # the measurement out of the evaluation cache).
+            trial.cost["reclaimed"] = float(payload["reclaimed"])
+        self._count_fault_metrics(retries, timeouts)
+        if "intermediate" in payload:
+            with self._lock:
+                trial.intermediate = list(payload["intermediate"])
+        if not payload.get("ok"):
+            trial.error = str(payload.get("error") or "trial failed")
+            trial.status = TrialStatus.ERROR
+        elif payload.get("stopped"):
+            # Early-stopped: score with the last intermediate value.
+            last = trial.intermediate[-1][1] if trial.intermediate else float("nan")
+            trial.result = {self.metric: last}
+            trial.status = TrialStatus.STOPPED
+        else:
+            try:
+                trial.result = normalize_result(payload["raw"], self.metric)
+                trial.status = TrialStatus.TERMINATED
+            except Exception as exc:  # noqa: BLE001 - recorded on the trial
+                trial.error = f"{type(exc).__name__}: {exc}"
                 trial.status = TrialStatus.ERROR
         wall = time.perf_counter() - (trial._start or time.perf_counter())
         trial.runtime_s = wall
-        worker = payload if isinstance(payload, dict) and "evaluate_s" in payload else None
-        if worker is not None:
-            # A fabric worker measured the split itself: clamp both pieces to
-            # the parent-observed wall (clock skew must not inflate costs).
-            evaluate_s = min(max(float(worker["evaluate_s"]), 0.0), wall)
+        evaluate_s = min(max(float(payload.get("evaluate_s", wall)), 0.0), wall)
+        trial.cost["evaluate_s"] = evaluate_s
+        if "queue_wait_s" in payload:
             queue_wait_s = min(
-                max(float(worker.get("queue_wait_s", 0.0)), 0.0),
-                max(wall - evaluate_s, 0.0),
+                max(float(payload["queue_wait_s"]), 0.0), max(wall - evaluate_s, 0.0)
             )
-            trial.cost["evaluate_s"] = evaluate_s
-            if queue_wait_s > 0:
-                trial.cost["queue_wait_s"] = queue_wait_s
-                self._record_process_wait_span(trial, wall, queue_wait_s)
-            self._record_execute_span(trial, evaluate_s)
-        else:
-            # Pre-fabric fallback: only the submit→collect wall is
-            # observable, queue wait included.
-            trial.cost["evaluate_s"] = wall
-            get_perf().record("evaluate", wall)
-            self._record_execute_span(trial, wall)
-        telemetry = payload.get("telemetry") if isinstance(payload, dict) else None
+            trial.cost["queue_wait_s"] = queue_wait_s
+            self._record_queue_wait_span(trial, wall, queue_wait_s)
+        self._record_execute_span(trial, evaluate_s)
+        telemetry = payload.get("telemetry")
         if telemetry is not None:
             with self._lock:
                 trial_span = self._trial_spans.get(trial.trial_id)
@@ -799,10 +660,10 @@ class TrialRunner:
                 telemetry, parent=trial_span, attributes={"trial_id": trial.trial_id}
             )
 
-    def _record_process_wait_span(
+    def _record_queue_wait_span(
         self, trial: Trial, wall_s: float, queue_wait_s: float
     ) -> None:
-        """Backdated queue-wait span for worker-measured queue waits.
+        """Backdated queue-wait span for a worker-measured queue wait.
 
         The wait happened at the *start* of the submit→collect wall, so the
         span is stamped ``[now - wall, now - wall + wait]`` via the explicit

@@ -38,13 +38,10 @@ class Trial:
     #: cycle-cost attribution filled by the runner: ``suggest_s`` /
     #: ``evaluate_s`` / ``tell_s`` seconds (see repro.observability.profile).
     cost: dict[str, float] = field(default_factory=dict)
-    #: ``time.perf_counter()`` at executor submission — set by the runner,
-    #: read back for the queue-wait span. A declared field (not an ad-hoc
-    #: attribute) so it survives dataclass copying and pickling.
-    _submitted: Optional[float] = None
-    #: ``time.perf_counter()`` when the process-executor submit happened;
-    #: the submit→collect wall is the only evaluate cost observable across
-    #: a process boundary.
+    #: ``time.perf_counter()`` at executor submission, set by the runner;
+    #: the submit→collect wall bounds the worker-measured evaluate and
+    #: queue-wait costs. A declared field (not an ad-hoc attribute) so it
+    #: survives dataclass copying and pickling.
     _start: Optional[float] = None
 
     @property
@@ -115,3 +112,8 @@ class Reporter:
             keep_going = self._on_report(self._trial, self._step, float(value))
         if not keep_going:
             raise StopTrial()
+
+    def reports(self) -> list[tuple[int, float]]:
+        """A snapshot of the ``(step, value)`` reports made so far."""
+        with self._lock:
+            return list(self._trial.intermediate)

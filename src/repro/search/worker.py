@@ -10,11 +10,12 @@ lease while a trial runs, so a worker that dies (even ``kill -9``) simply
 stops heartbeating and its trial is reclaimed by a peer once the lease
 expires.
 
-Execution semantics are identical to the in-process executors: the same
-:func:`~repro.search.execution.process_attempts` retry/timeout loop, the
-same taint markers, and — when the campaign parent is observing — the same
-telemetry fabric, with per-trial payloads persisted into the ledger for the
-parent to merge (spans arrive stamped with this worker's ``runner_id``).
+Execution semantics are identical to the in-process executors: a claimed
+trial runs through the same :func:`~repro.search.execution.execute_trial`
+(one retry/timeout loop, one taint rule) and — when the campaign parent is
+observing — the same telemetry fabric, with per-trial payloads persisted
+into the ledger for the parent to merge (spans arrive stamped with this
+worker's ``runner_id``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.observability import fabric
-from repro.search.execution import Trainable, process_attempts
+from repro.search.execution import Trainable, execute_trial
 from repro.search.store import TrialClaim, TrialStore
 
 __all__ = ["run_worker", "default_runner_id", "worker_trainable_from_run_dir"]
@@ -103,8 +104,7 @@ def run_worker(
     backoff_s = float(meta.get("retry_backoff_s", 0.0))
     timeout_s = meta.get("trial_timeout_s")
     timeout_s = None if timeout_s is None else float(timeout_s)
-    telemetry = bool(meta.get("telemetry", False)) or push is not None
-    if telemetry:
+    if meta.get("telemetry", False) or push is not None:
         fabric.activate_worker(str(meta.get("name", "experiment")))
     completed = 0
     idle_since: Optional[float] = None
@@ -129,9 +129,7 @@ def run_worker(
         idle_since = None
         heartbeat = _Heartbeat(store, claim, lease)
         try:
-            outcome = _execute_claim(
-                trainable, claim, max_retries, backoff_s, timeout_s, telemetry, push
-            )
+            outcome = _execute_claim(trainable, claim, max_retries, backoff_s, timeout_s, push)
         finally:
             heartbeat.stop()
         store.end_trial(claim.trial_id, runner_id, outcome)
@@ -147,37 +145,19 @@ def _execute_claim(
     max_retries: int,
     backoff_s: float,
     timeout_s: float | None,
-    telemetry: bool,
     push: Any = None,
 ) -> dict[str, Any]:
     """Run one claimed trial and build its ledger outcome payload."""
-    from repro.observability.digest import get_perf
-    from repro.observability.trace import get_tracer
-
-    if not (telemetry and fabric.worker_active()):
-        outcome = process_attempts(
-            trainable, dict(claim.config), max_retries, backoff_s, timeout_s
-        )
-    else:
-        tracer = get_tracer()
-        start = time.perf_counter()
-        with tracer.span("evaluate", trial_id=claim.trial_id):
-            outcome = process_attempts(
-                trainable, dict(claim.config), max_retries, backoff_s, timeout_s
-            )
-        evaluate_s = time.perf_counter() - start
-        get_perf().record("evaluate", evaluate_s)
-        outcome["evaluate_s"] = evaluate_s
-        payload = fabric.drain_worker()
-        pushed = False
-        if push is not None and payload is not None:
-            # Streamed to the live monitor: do not also embed the payload,
-            # or the parent would merge every span twice at drain time.
-            pushed = push.push(payload, attributes={"trial_id": claim.trial_id})
-        if pushed:
+    outcome = execute_trial(
+        trainable, dict(claim.config), max_retries, backoff_s, timeout_s, claim.trial_id
+    )
+    payload = outcome.get("telemetry")
+    if push is not None and payload is not None:
+        # Streamed to the live monitor: do not also embed the payload,
+        # or the parent would merge every span twice at drain time.
+        if push.push(payload, attributes={"trial_id": claim.trial_id}):
+            del outcome["telemetry"]
             outcome["telemetry_pushed"] = True
-        else:
-            outcome["telemetry"] = payload
     # A reclaimed trial's measurement may overlap a zombie twin still
     # running elsewhere; flag it so the evaluation cache refuses admission.
     if claim.prior_claims:

@@ -2,6 +2,7 @@
 fitting, the background refit worker, and the checkpointed refit cadence."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,21 @@ def _campaign(opt, n=40):
         opt.tell(x, y)
         values.append(y)
     return values
+
+
+def _wait_refit_published(opt, timeout=60.0):
+    """Block until no background refit is in flight.
+
+    A scheduled refit publishes whenever its thread finishes, which may
+    be after the campaign's last ask; counters read before that race it.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        with opt._lock:
+            if not opt._refit_inflight:
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"background refit still in flight after {timeout}s")
 
 
 def _training_data(seed=0, n=120):
@@ -142,6 +158,7 @@ class TestBackgroundRefit:
         )
         try:
             _campaign(opt, 50)
+            _wait_refit_published(opt)
             # Only the very first model fit may block the ask path.
             assert opt.n_fits == 1
             assert opt.n_background_fits >= 1

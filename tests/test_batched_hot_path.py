@@ -12,7 +12,8 @@ import pytest
 from repro.bayesopt import Integer, Optimizer, Real, Space
 from repro.search import run
 from repro.search.algos import ConcurrencyLimiter, GridSearch, RandomSearch, SurrogateSearch
-from repro.search.runner import TrialRunner, _attempt_once
+from repro.search.execution import attempt_once as _attempt_once
+from repro.search.runner import TrialRunner
 from repro.search.trial import TrialStatus
 
 
@@ -192,13 +193,15 @@ class TestAttemptOnce:
         assert injected is False
 
     def test_trial_with_system_exit_is_an_error_not_a_crash(self):
-        analysis = run(
-            _raises_system_exit, space=_space(), metric="loss",
-            num_samples=2, executor="process", max_workers=2, seed=0,
-            name="sysexit",
-        )
-        assert all(t.status is TrialStatus.ERROR for t in analysis.trials)
-        assert all("SystemExit" in (t.error or "") for t in analysis.trials)
+        for executor in ("sync", "thread", "process"):
+            analysis = run(
+                _raises_system_exit, space=_space(), metric="loss",
+                num_samples=2, executor=executor, max_workers=2, seed=0,
+                name=f"sysexit_{executor}",
+            )
+            assert len(analysis.trials) == 2, executor
+            assert all(t.status is TrialStatus.ERROR for t in analysis.trials), executor
+            assert all("SystemExit" in (t.error or "") for t in analysis.trials), executor
 
 
 class TestBatchKnobValidation:

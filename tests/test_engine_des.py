@@ -11,6 +11,7 @@ from repro.engine import (
     simulate_engine,
 )
 from repro.engine.tasks import PIPELINE_ORDER, SERVICE_TASKS, TaskType
+from repro.simcore.core import Environment
 
 
 @pytest.fixture(scope="module")
@@ -139,24 +140,43 @@ class TestConfiguration:
         assert delta == pytest.approx(0.5, abs=0.05)  # one RTT of 2×250 ms
 
 
+def _timeout_delays(monkeypatch):
+    """Route every raw-number wait through an ordinary ``env.timeout``.
+
+    Engine stages yield raw numbers, which the environment resumes via a
+    pooled fast-lane carrier (``Environment._schedule_resume``). Swapping
+    that hook for a subscribed :class:`~repro.simcore.events.Timeout`
+    turns each wait into a full event, as an engine yielding
+    ``env.timeout(d)`` would get.
+    """
+
+    def schedule_resume(env, process, delay):
+        event = env.timeout(delay)
+        event.callbacks.append(process._resume)
+        return event
+
+    monkeypatch.setattr(Environment, "_schedule_resume", schedule_resume)
+
+
 class TestFastLane:
     """The raw-number delay fast lane must be byte-identical to events."""
 
-    def _pair(self, **workload_kwargs):
-        results = []
-        for fast_lane in (True, False):
+    def _pair(self, monkeypatch, **workload_kwargs):
+        def run():
             engine = IdentificationEngine(
-                BASELINE_CONFIG,
-                WorkloadSpec(**workload_kwargs),
-                seed=7,
-                fast_lane=fast_lane,
+                BASELINE_CONFIG, WorkloadSpec(**workload_kwargs), seed=7
             )
-            results.append(engine.run())
-        return results
+            return engine.run()
 
-    def test_closed_loop_byte_identical(self):
+        fast = run()
+        with monkeypatch.context() as patch:
+            _timeout_delays(patch)
+            slow = run()
+        return fast, slow
+
+    def test_closed_loop_byte_identical(self, monkeypatch):
         fast, slow = self._pair(
-            simultaneous_requests=20, duration=150.0, warmup=30.0
+            monkeypatch, simultaneous_requests=20, duration=150.0, warmup=30.0
         )
         assert fast.user_response_time == slow.user_response_time
         assert fast.throughput == slow.throughput
@@ -164,8 +184,9 @@ class TestFastLane:
         assert fast.task_times == slow.task_times
         assert fast.response_percentiles == slow.response_percentiles
 
-    def test_open_loop_byte_identical(self):
+    def test_open_loop_byte_identical(self, monkeypatch):
         fast, slow = self._pair(
+            monkeypatch,
             simultaneous_requests=20,
             arrival_rate=8.0,
             duration=120.0,
@@ -175,9 +196,23 @@ class TestFastLane:
         assert fast.completed_requests == slow.completed_requests
         assert fast.task_times == slow.task_times
 
-    def test_simulate_engine_default_is_fast(self):
-        default = simulate_engine(BASELINE_CONFIG, 20, duration=120.0, warmup=20.0, seed=3)
-        slow = simulate_engine(
-            BASELINE_CONFIG, 20, duration=120.0, warmup=20.0, seed=3, fast_lane=False
-        )
+    def test_simulate_engine_default_is_fast(self, monkeypatch):
+        calls = []
+        original = Environment._schedule_resume
+
+        def counting(env, process, delay):
+            calls.append(delay)
+            return original(env, process, delay)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Environment, "_schedule_resume", counting)
+            default = simulate_engine(
+                BASELINE_CONFIG, 20, duration=120.0, warmup=20.0, seed=3
+            )
+        assert calls, "simulate_engine never took the raw-number fast lane"
+        with monkeypatch.context() as patch:
+            _timeout_delays(patch)
+            slow = simulate_engine(
+                BASELINE_CONFIG, 20, duration=120.0, warmup=20.0, seed=3
+            )
         assert default.user_response_time == slow.user_response_time

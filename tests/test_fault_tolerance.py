@@ -226,18 +226,33 @@ class TestRetryAndTimeout:
         assert "TrialTimeout" in trial.error
 
     def test_process_executor_retries_in_worker(self):
-        runner = TrialRunner(
-            _flaky_by_attempt,
-            RandomSearch(_space(), seed=0),
-            metric="objective",
-            num_samples=2,
-            executor="process",
-            max_workers=2,
-            max_retries=3,
-        )
-        analysis = runner.run()
-        assert all(t.status is TrialStatus.TERMINATED for t in analysis.trials)
-        assert all(t.cost["retries"] == 2 for t in analysis.trials)
+        """One retry/taint rule: every executor folds the same outcome."""
+        timing = {"suggest_s", "evaluate_s", "tell_s", "queue_wait_s"}
+        outcomes = {}
+        for executor in ("sync", "thread", "process"):
+            runner = TrialRunner(
+                _flaky_by_attempt,
+                RandomSearch(_space(), seed=0),
+                metric="objective",
+                num_samples=2,
+                executor=executor,
+                max_workers=2,
+                max_retries=3,
+            )
+            analysis = runner.run()
+            assert all(t.status is TrialStatus.TERMINATED for t in analysis.trials)
+            assert all(t.cost["retries"] == 2 for t in analysis.trials)
+            outcomes[executor] = [
+                (
+                    t.status,
+                    t.result,
+                    {k: v for k, v in t.cost.items() if k not in timing},
+                )
+                for t in analysis.trials
+            ]
+        assert outcomes["sync"] == outcomes["thread"] == outcomes["process"]
+        # Retried trials carry the taint marker the evaluation cache refuses.
+        assert all(cost["fault_injected"] == 1.0 for _, _, cost in outcomes["sync"])
 
     def test_process_raise_on_failed_attaches_partial_analysis(self):
         runner = TrialRunner(

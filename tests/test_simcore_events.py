@@ -139,6 +139,30 @@ class TestProcesses:
         env.run()
         assert seen == [(1.5, None), (3.5, None)]
 
+        # A raw number orders exactly like env.timeout(d): processes
+        # interleaving one delay plan (zero delays and same-instant ties
+        # included) resume in the same (now, process) order either way.
+        # Odd processes always wait on Timeout events, so raw waits tie
+        # with event waits at the same instants.
+        def resume_order(raw):
+            env = simcore.Environment()
+            order = []
+
+            def walker(name, delays, raw):
+                for delay in delays:
+                    yield delay if raw else env.timeout(delay)
+                    order.append((env.now, name))
+
+            for i in range(6):
+                plan = [0.5 * ((i + k) % 3) for k in range(10)]
+                env.process(walker(f"p{i}", plan, raw and i % 2 == 0))
+            env.run()
+            return order
+
+        events = resume_order(False)
+        assert len(events) == 60
+        assert resume_order(True) == events
+
     def test_yield_negative_number_raises(self):
         env = simcore.Environment()
 

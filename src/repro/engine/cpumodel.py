@@ -105,28 +105,49 @@ class CpuContentionModel:
         return min(1.0, self._demand / self.cores)
 
     def inflation(self) -> float:
-        """Slowdown multiplier for CPU-bound work starting *now*."""
-        return inflation_factor(
-            self._demand / self.cores,
-            self.scale,
-            self.sharpness,
-            self.rho_max,
-            self.kappa,
-        )
+        """Slowdown multiplier for CPU-bound work starting *now*.
+
+        :func:`inflation_factor` with its arithmetic inlined: the DES asks
+        this once per CPU stage, and every operation is the same, in the
+        same order, so both return the same bits.
+        """
+        ratio = self._demand / self.cores
+        if ratio > 8.0:
+            ratio = 8.0
+        inflation = 1.0
+        scale = self.scale
+        if scale != 0.0 and ratio > 0.0:
+            rho_max = self.rho_max
+            rho = ratio if ratio < rho_max else rho_max
+            inflation = 1.0 + scale * rho**self.sharpness / (1.0 - rho)
+        if ratio > 1.0:
+            inflation *= ratio**self.kappa
+        return inflation
 
     # -- draw bookkeeping --------------------------------------------------------
+    # acquire/release inline _advance (integrate usage() up to ``now``).
 
     def acquire(self, draw: float, now: float) -> None:
         """A task drawing ``draw`` actual cores becomes active."""
         if draw < 0:
             raise ValueError("core draw must be >= 0")
-        self._advance(now)
+        dt = now - self._last_time
+        if dt > 0:
+            usage = self._demand / self.cores
+            self._usage_integral += (usage if usage < 1.0 else 1.0) * dt
+            self._last_time = now
         self._demand += draw
 
     def release(self, draw: float, now: float) -> None:
         """A task drawing ``draw`` cores finished."""
-        self._advance(now)
-        self._demand = max(self._base_load, self._demand - draw)
+        dt = now - self._last_time
+        if dt > 0:
+            usage = self._demand / self.cores
+            self._usage_integral += (usage if usage < 1.0 else 1.0) * dt
+            self._last_time = now
+        demand = self._demand - draw
+        base = self._base_load
+        self._demand = demand if demand > base else base
 
     def _advance(self, now: float) -> None:
         dt = now - self._last_time

@@ -23,8 +23,9 @@ Performance couplings modelled (see DESIGN.md §5 for calibration):
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Iterator, Optional
 
 from repro import simcore
 from repro.engine.config import EngineModelParams, ThreadPoolConfig, WorkloadSpec
@@ -32,7 +33,7 @@ from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 from repro.engine.cpumodel import CpuContentionModel
 from repro.engine.gpu import GpuModel
-from repro.engine.metrics import EngineRunResult, MetricsCollector, POOL_NAMES
+from repro.engine.metrics import EngineRunResult, MetricsCollector, POOL_NAMES, TASK_INDEX
 from repro.engine.tasks import TaskType
 from repro.testbed.network import NetworkPath
 from repro.utils.seeding import derive_seed, spawn_rng
@@ -42,6 +43,29 @@ __all__ = ["IdentificationEngine", "simulate_engine", "EngineRunResult"]
 #: inter-arrival gaps drawn per batch in open-loop mode — large enough to
 #: amortize the numpy call, small enough that short runs don't over-draw.
 _ARRIVAL_BATCH = 256
+
+#: service-time noise factors drawn per block (about five per request).
+_NOISE_BLOCK = 1024
+
+_PRE_PROCESS = TASK_INDEX[TaskType.PRE_PROCESS]
+_WAIT_DOWNLOAD = TASK_INDEX[TaskType.WAIT_DOWNLOAD]
+_DOWNLOAD = TASK_INDEX[TaskType.DOWNLOAD]
+_WAIT_EXTRACT = TASK_INDEX[TaskType.WAIT_EXTRACT]
+_EXTRACT = TASK_INDEX[TaskType.EXTRACT]
+_PROCESS = TASK_INDEX[TaskType.PROCESS]
+_WAIT_SIMSEARCH = TASK_INDEX[TaskType.WAIT_SIMSEARCH]
+_SIMSEARCH = TASK_INDEX[TaskType.SIMSEARCH]
+_POST_PROCESS = TASK_INDEX[TaskType.POST_PROCESS]
+
+
+def _lognormal_blocks(rng: Any, mu: float, sigma: float) -> Iterator[float]:
+    """Endless lognormal draws from ``rng``, generated ``_NOISE_BLOCK`` at a time.
+
+    A block draw from a numpy Generator returns the same values as that many
+    scalar draws, so the stream is exactly the per-call sequence.
+    """
+    while True:
+        yield from rng.lognormal(mu, sigma, size=_NOISE_BLOCK).tolist()
 
 
 class IdentificationEngine:
@@ -90,165 +114,177 @@ class IdentificationEngine:
             "simsearch": simcore.Resource(env, config.simsearch, name="simsearch"),
         }
         self.metrics = MetricsCollector(self.workload.warmup, trace=trace)
-        self._rng = spawn_rng(self.seed)
-        # Pre-computed lognormal noise parameters (mean 1, given CV).
+        # Lognormal service-time noise (mean 1, given CV). Its generator
+        # serves nothing else, so drawing it in blocks keeps the sequence;
+        # the stream lives on the engine, so hybrid windows continue it.
         cv = self.params.service_cv
+        self._noise: Callable[[], float]
         if cv > 0:
-            self._sigma = math.sqrt(math.log(1.0 + cv * cv))
-            self._mu = -0.5 * self._sigma * self._sigma
+            sigma = math.sqrt(math.log(1.0 + cv * cv))
+            self._noise = _lognormal_blocks(
+                spawn_rng(self.seed), -0.5 * sigma * sigma, sigma
+            ).__next__
         else:
-            self._sigma = 0.0
-            self._mu = 0.0
+            self._noise = itertools.repeat(1.0).__next__
         self._client_rtt = client_path.round_trip_time() if client_path else 0.0
-
-    # -- service-time noise -------------------------------------------------------
-
-    def _noise(self) -> float:
-        if self._sigma == 0.0:
-            return 1.0
-        return float(self._rng.lognormal(self._mu, self._sigma))
-
-    # -- pipeline stages ------------------------------------------------------------
-
-    def _cpu_stage(
-        self, task: TaskType, base: float, weight: float
-    ) -> Generator[simcore.Event, None, None]:
-        """A CPU-bound stage.
-
-        A task that would draw ``weight`` cores uncontended is slowed by the
-        current contention factor ``I``: it runs ``I`` times longer while
-        drawing ``weight / I`` cores, keeping its CPU work invariant.
-        """
-        env = self.env
-        slowdown = self.cpu.inflation()
-        draw = weight / slowdown
-        self.cpu.acquire(draw, env.now)
-        try:
-            duration = base * slowdown * self._noise()
-            yield duration
-        finally:
-            self.cpu.release(draw, env.now)
-        self.metrics.record_task(task, duration, env.now)
-
-    def _download_stage(self) -> Generator[simcore.Event, None, None]:
-        """Download: fixed network transfer + CPU-slowed decode part."""
-        env = self.env
-        p = self.params
-        slowdown = self.cpu.inflation()
-        draw = p.w_download / slowdown
-        self.cpu.acquire(draw, env.now)
-        try:
-            network = p.image_bytes / p.download_bandwidth
-            duration = (network + p.t_download_cpu * slowdown) * self._noise()
-            yield duration
-        finally:
-            self.cpu.release(draw, env.now)
-        self.metrics.record_task(TaskType.DOWNLOAD, duration, env.now)
-
-    def _extract_stage(self) -> Generator[simcore.Event, None, None]:
-        """DNN inference: GPU-paced phase, then CPU-side decode phase.
-
-        The GPU phase draws ``w_extract_spin`` cores at GPU pace (CPU
-        contention does not stretch it); the CPU phase behaves like any
-        other CPU stage.
-        """
-        env = self.env
-        p = self.params
-        concurrency = self.gpu.stream_started()
-        start = env.now
-        self.cpu.acquire(p.w_extract_spin, env.now)
-        try:
-            gpu_time = self.gpu.inference_time(concurrency) * self._noise()
-            yield gpu_time
-        finally:
-            self.gpu.stream_finished()
-            self.cpu.release(p.w_extract_spin, env.now)
-
-        slowdown = self.cpu.inflation()
-        draw = p.w_extract / slowdown
-        self.cpu.acquire(draw, env.now)
-        try:
-            yield p.t_extract_cpu * slowdown * self._noise()
-        finally:
-            self.cpu.release(draw, env.now)
-        self.metrics.record_task(TaskType.EXTRACT, env.now - start, env.now)
 
     # -- request lifecycle -------------------------------------------------------------
 
     def _lifecycle(self) -> Generator[simcore.Event, None, None]:
-        """One request through the full Table I pipeline."""
+        """One request through the full Table I pipeline.
+
+        CPU-bound stages run ``I`` times longer than uncontended while
+        drawing ``weight / I`` cores (``I``: the contention slowdown when
+        the stage starts), keeping their CPU work invariant. Extract has a
+        GPU-paced phase, which draws ``w_extract_spin`` cores that
+        contention does not stretch, then a CPU phase like any other.
+
+        The stage bodies are written out in line (one generator frame per
+        request). Wait times and the response go to the collector current
+        when the request started; stage times go to the collector current
+        when the stage ends (the hybrid engine swaps collectors between
+        windows).
+        """
         env = self.env
         p = self.params
         pools = self.pools
+        http, download, extract, simsearch = (
+            pools["http"], pools["download"], pools["extract"], pools["simsearch"]
+        )
+        cpu = self.cpu
+        gpu = self.gpu
+        noise = self._noise
         metrics = self.metrics
-        submitted = env.now
+        trace = metrics.trace_enabled
+        submitted = env._now
         stamps: dict[str, float] = {}
 
-        def stamp(task: TaskType, start: float) -> None:
-            if metrics.trace_enabled:
-                stamps[str(task)] = env.now - start
-
-        http_req = pools["http"].request()
+        http_req = http.request()
         yield http_req
         try:
-            t0 = env.now
-            yield from self._cpu_stage(TaskType.PRE_PROCESS, p.t_preprocess, p.w_http_misc)
-            stamp(TaskType.PRE_PROCESS, t0)
+            t0 = env._now
+            slowdown = cpu.inflation()
+            draw = p.w_http_misc / slowdown
+            cpu.acquire(draw, t0)
+            try:
+                duration = p.t_preprocess * slowdown * noise()
+                yield duration
+            finally:
+                cpu.release(draw, env._now)
+            self.metrics.record_task(_PRE_PROCESS, duration, env._now)
+            if trace:
+                stamps["pre-process"] = env._now - t0
 
-            t0 = env.now
-            dl_req = pools["download"].request()
+            t0 = env._now
+            dl_req = download.request()
             yield dl_req
-            metrics.record_task(TaskType.WAIT_DOWNLOAD, env.now - t0, env.now)
-            stamp(TaskType.WAIT_DOWNLOAD, t0)
+            metrics.record_task(_WAIT_DOWNLOAD, env._now - t0, env._now)
+            if trace:
+                stamps["wait-download"] = env._now - t0
             try:
-                t0 = env.now
-                yield from self._download_stage()
-                stamp(TaskType.DOWNLOAD, t0)
+                t0 = env._now
+                slowdown = cpu.inflation()
+                draw = p.w_download / slowdown
+                cpu.acquire(draw, t0)
+                try:
+                    network = p.image_bytes / p.download_bandwidth
+                    duration = (network + p.t_download_cpu * slowdown) * noise()
+                    yield duration
+                finally:
+                    cpu.release(draw, env._now)
+                self.metrics.record_task(_DOWNLOAD, duration, env._now)
+                if trace:
+                    stamps["download"] = env._now - t0
             finally:
-                pools["download"].release(dl_req)
+                download.release(dl_req)
 
-            t0 = env.now
-            ex_req = pools["extract"].request()
+            t0 = env._now
+            ex_req = extract.request()
             yield ex_req
-            metrics.record_task(TaskType.WAIT_EXTRACT, env.now - t0, env.now)
-            stamp(TaskType.WAIT_EXTRACT, t0)
+            metrics.record_task(_WAIT_EXTRACT, env._now - t0, env._now)
+            if trace:
+                stamps["wait-extract"] = env._now - t0
             try:
-                t0 = env.now
-                yield from self._extract_stage()
-                stamp(TaskType.EXTRACT, t0)
+                t0 = env._now
+                concurrency = gpu.stream_started()
+                cpu.acquire(p.w_extract_spin, t0)
+                try:
+                    gpu_time = gpu.inference_time(concurrency) * noise()
+                    yield gpu_time
+                finally:
+                    gpu.stream_finished()
+                    cpu.release(p.w_extract_spin, env._now)
+                slowdown = cpu.inflation()
+                draw = p.w_extract / slowdown
+                cpu.acquire(draw, env._now)
+                try:
+                    yield p.t_extract_cpu * slowdown * noise()
+                finally:
+                    cpu.release(draw, env._now)
+                self.metrics.record_task(_EXTRACT, env._now - t0, env._now)
+                if trace:
+                    stamps["extract"] = env._now - t0
             finally:
-                pools["extract"].release(ex_req)
+                extract.release(ex_req)
 
-            t0 = env.now
-            yield from self._cpu_stage(TaskType.PROCESS, p.t_process, p.w_http_misc)
-            stamp(TaskType.PROCESS, t0)
+            t0 = env._now
+            slowdown = cpu.inflation()
+            draw = p.w_http_misc / slowdown
+            cpu.acquire(draw, t0)
+            try:
+                duration = p.t_process * slowdown * noise()
+                yield duration
+            finally:
+                cpu.release(draw, env._now)
+            self.metrics.record_task(_PROCESS, duration, env._now)
+            if trace:
+                stamps["process"] = env._now - t0
 
-            t0 = env.now
-            ss_req = pools["simsearch"].request()
+            t0 = env._now
+            ss_req = simsearch.request()
             yield ss_req
-            metrics.record_task(TaskType.WAIT_SIMSEARCH, env.now - t0, env.now)
-            stamp(TaskType.WAIT_SIMSEARCH, t0)
+            metrics.record_task(_WAIT_SIMSEARCH, env._now - t0, env._now)
+            if trace:
+                stamps["wait-simsearch"] = env._now - t0
             try:
-                t0 = env.now
-                yield from self._cpu_stage(TaskType.SIMSEARCH, p.t_simsearch, p.w_simsearch)
-                stamp(TaskType.SIMSEARCH, t0)
+                t0 = env._now
+                slowdown = cpu.inflation()
+                draw = p.w_simsearch / slowdown
+                cpu.acquire(draw, t0)
+                try:
+                    duration = p.t_simsearch * slowdown * noise()
+                    yield duration
+                finally:
+                    cpu.release(draw, env._now)
+                self.metrics.record_task(_SIMSEARCH, duration, env._now)
+                if trace:
+                    stamps["simsearch"] = env._now - t0
             finally:
-                pools["simsearch"].release(ss_req)
+                simsearch.release(ss_req)
 
-            t0 = env.now
-            yield from self._cpu_stage(TaskType.POST_PROCESS, p.t_postprocess, p.w_http_misc)
-            stamp(TaskType.POST_PROCESS, t0)
+            t0 = env._now
+            slowdown = cpu.inflation()
+            draw = p.w_http_misc / slowdown
+            cpu.acquire(draw, t0)
+            try:
+                duration = p.t_postprocess * slowdown * noise()
+                yield duration
+            finally:
+                cpu.release(draw, env._now)
+            self.metrics.record_task(_POST_PROCESS, duration, env._now)
+            if trace:
+                stamps["post-process"] = env._now - t0
         finally:
-            pools["http"].release(http_req)
+            http.release(http_req)
 
-        response_time = env.now - submitted + self._client_rtt
-        metrics.record_response(response_time, env.now)
-        if metrics.trace_enabled:
+        response_time = env._now - submitted + self._client_rtt
+        metrics.record_response(response_time, env._now)
+        if trace:
             from repro.engine.metrics import RequestTrace
 
             metrics.record_trace(
                 RequestTrace(submitted=submitted, response_time=response_time, tasks=stamps),
-                env.now,
+                env._now,
             )
 
     def _client(self, index: int = 0) -> Generator[simcore.Event, None, None]:

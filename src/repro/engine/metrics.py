@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.engine.tasks import TaskType
+from repro.engine.tasks import PIPELINE_ORDER, TaskType
 from repro.utils.reservoir import ReservoirSampler
 from repro.utils.stats import RunningStats, Summary
 from repro.utils.timeseries import TimeSeries
@@ -30,6 +30,10 @@ __all__ = ["MetricSeries", "EngineRunResult", "RequestTrace"]
 
 #: Pool names in reporting order.
 POOL_NAMES = ("http", "download", "extract", "simsearch")
+
+#: position of each task in :data:`PIPELINE_ORDER`, the index
+#: :meth:`MetricsCollector.record_task` takes.
+TASK_INDEX: dict[TaskType, int] = {task: i for i, task in enumerate(PIPELINE_ORDER)}
 
 
 @dataclass
@@ -173,6 +177,8 @@ class MetricsCollector:
         self.warmup = warmup
         self.series = MetricSeries()
         self.task_stats: dict[TaskType, RunningStats] = {t: RunningStats() for t in TaskType}
+        #: bound ``add`` of each task's accumulator, in pipeline order.
+        self._task_adds = tuple(self.task_stats[t].add for t in PIPELINE_ORDER)
         self.response_stats = RunningStats()
         self.response_reservoir = ReservoirSampler(capacity=20000, seed=0)
         self.completed = 0
@@ -184,9 +190,14 @@ class MetricsCollector:
 
     # -- raw observations -------------------------------------------------------
 
-    def record_task(self, task: TaskType, duration: float, now: float) -> None:
+    def record_task(self, index: int, duration: float, now: float) -> None:
+        """Record one task duration; ``index`` is the task's :data:`TASK_INDEX`.
+
+        The engine records nine tasks per request, so this indexes a tuple
+        of bound ``add`` methods instead of hashing a :class:`TaskType`.
+        """
         if now >= self.warmup:
-            self.task_stats[task].add(duration)
+            self._task_adds[index](duration)
 
     def record_response(self, response_time: float, now: float) -> None:
         if now >= self.warmup:

@@ -203,10 +203,13 @@ class Environment:
                 stats.max_queue_depth = depth
 
         if type(event) is SlimDelay:
-            # Fast-lane delay: resume the carried process directly (no
-            # callbacks; ``process is None`` means an interrupt cancelled
-            # the wait), then return the instance to the recycle pool.
-            self._resume_slim(event)
+            # Fast-lane delay: resume the carried process (``None`` means an
+            # interrupt cancelled the wait), then recycle the carrier.
+            if event.process is not None:
+                event.process._resume(event)
+            event.process = None
+            if len(self._slim_pool) < _SLIM_POOL_MAX:
+                self._slim_pool.append(event)
             return
 
         callbacks, event.callbacks = event.callbacks, None
@@ -224,26 +227,39 @@ class Environment:
     ) -> None:
         """Drain the heap until empty or :class:`StopSimulation`.
 
-        Hot attributes (heap, pop, slim pool) are aliased to locals so the
-        dominant pop→callback→recycle cycle does no repeated attribute
-        lookups. When neither stats nor a wall deadline is active, the
-        per-event bookkeeping disappears entirely; otherwise stats are
-        accumulated in locals and flushed once after the loop.
+        Hot attributes (heap, pop, slim pool) are aliased to locals, and the
+        loop statistics (events, peak heap depth) are kept in locals and
+        flushed to :attr:`stats` once, after the loop — traced and untraced
+        runs execute the same code.
+
+        A popped :class:`SlimDelay` pumps its process's generator in place.
+        When the process then yields an event that satisfies the *same-
+        instant rule* — the event is the heap top, is due now, succeeded,
+        and has no callbacks — the loop pops it at once and keeps pumping:
+        it is the event the loop would pop next anyway, and its only
+        consumer would be this process, so the order cannot change. This
+        is the immediately granted resource request of the engine
+        pipeline. An event due later (a ``Timeout(5)`` at the heap top)
+        fails the rule, so the clock still advances through the heap.
         """
         queue = self._queue
         pop = heapq.heappop
         push = heapq.heappush
         slim_pool = self._slim_pool
-        stats = self._stats
         slim = SlimDelay
-
-        if stats is None and wall_deadline is None:
+        perf_counter = time.perf_counter
+        events = 0
+        max_depth = 0
+        first_time = queue[0][0] if queue else None
+        try:
             while queue:
-                self._now, _, _, event = pop(queue)
+                depth = len(queue)
+                if depth > max_depth:
+                    max_depth = depth
+                now, _, _, event = pop(queue)
+                self._now = now
+                events += 1
                 if type(event) is slim:
-                    # Fast lane: pump the carried process's generator in
-                    # place. A consecutive plain-delay yield re-arms this
-                    # very event — zero allocation, zero pool traffic.
                     process = event.process
                     if process is None:  # interrupted wait
                         if len(slim_pool) < _SLIM_POOL_MAX:
@@ -251,66 +267,61 @@ class Environment:
                         continue
                     self._active_process = process
                     generator = process._generator
+                    value = None
                     rearmed = False
-                    try:
-                        next_event = generator.send(None)
-                    except StopIteration as stop:
-                        process._generator = None  # type: ignore[assignment]
-                        process.succeed(stop.value)
-                    except BaseException as exc:  # noqa: BLE001 - via event
-                        process._generator = None  # type: ignore[assignment]
-                        process.fail(exc)
-                    else:
+                    while True:
+                        try:
+                            next_event = generator.send(value)
+                        except StopIteration as stop:
+                            process._generator = None  # type: ignore[assignment]
+                            process.succeed(stop.value)
+                            break
+                        except BaseException as exc:  # noqa: BLE001 - via event
+                            process._generator = None  # type: ignore[assignment]
+                            process.fail(exc)
+                            break
                         kind = type(next_event)
                         if kind is float or kind is int:
+                            # A consecutive plain delay re-arms this very
+                            # carrier: zero allocation, zero pool traffic.
                             if not (0 <= next_event < _INF):
                                 self._active_process = None
                                 raise ValueError(
                                     f"delay must be finite and >= 0, got {next_event}"
                                 )
                             self._eid += 1
-                            push(queue, (self._now + next_event, NORMAL, self._eid, event))
+                            push(queue, (now + next_event, NORMAL, self._eid, event))
                             process._target = event
                             rearmed = True
-                        elif not process._wait(next_event):
+                            break
+                        if queue:
+                            top = queue[0]
+                            if (
+                                top[3] is next_event
+                                and top[0] == now
+                                and next_event._ok
+                                and not next_event.callbacks
+                            ):
+                                # Same-instant rule: process it inline.
+                                depth = len(queue)
+                                if depth > max_depth:
+                                    max_depth = depth
+                                pop(queue)
+                                events += 1
+                                next_event.callbacks = None
+                                process._target = next_event
+                                value = next_event._value
+                                continue
+                        if not process._wait(next_event):
                             # Already-processed event: continue the pump
                             # through the general resume path.
                             process._resume(next_event)
+                        break
                     self._active_process = None
                     if not rearmed:
                         event.process = None
                         if len(slim_pool) < _SLIM_POOL_MAX:
                             slim_pool.append(event)
-                    continue
-
-                callbacks = event.callbacks
-                if callbacks is None:  # pragma: no cover - defensive
-                    raise SimulationError(f"event {event!r} processed twice")
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
-            return
-
-        events_processed = 0
-        max_depth = 0
-        first_time: Optional[float] = None
-        last_time = 0.0
-        perf_counter = time.perf_counter
-        try:
-            while queue:
-                depth = len(queue)
-                self._now, _, _, event = pop(queue)
-                events_processed += 1
-                if first_time is None:
-                    first_time = self._now
-                last_time = self._now
-                if depth > max_depth:
-                    max_depth = depth
-                if type(event) is slim:
-                    self._resume_slim(event)
                 else:
                     callbacks = event.callbacks
                     if callbacks is None:  # pragma: no cover - defensive
@@ -331,22 +342,14 @@ class Environment:
                         f"{wall_timeout_s}s (sim time {self._now})"
                     )
         finally:
-            if stats is not None and events_processed:
-                stats.events_processed += events_processed
+            stats = self._stats
+            if stats is not None and events:
+                stats.events_processed += events
                 if stats.first_event_time is None:
                     stats.first_event_time = first_time
-                stats.last_event_time = last_time
+                stats.last_event_time = self._now
                 if max_depth > stats.max_queue_depth:
                     stats.max_queue_depth = max_depth
-
-    def _resume_slim(self, event: SlimDelay) -> None:
-        """Resume a popped fast-lane delay (instrumented/step path)."""
-        process = event.process
-        if process is not None:
-            process._resume(event)
-        event.process = None
-        if len(self._slim_pool) < _SLIM_POOL_MAX:
-            self._slim_pool.append(event)
 
     # -- factories ----------------------------------------------------------
 

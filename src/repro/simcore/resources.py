@@ -15,9 +15,10 @@ can compute exact windowed occupancy from integral deltas.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from repro.simcore.events import URGENT, Event
+from repro.simcore.events import PENDING, URGENT, Event
 from repro.utils.stats import RunningStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,12 +83,17 @@ class Request(Event):
     __slots__ = ("resource", "priority", "submit_time")
 
     def __init__(self, resource: "Resource", priority: int = 0) -> None:
-        super().__init__(resource.env)
+        # Inlined Event.__init__: a request is created for every pool stage.
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
         self.priority = priority
-        self.submit_time = resource.env.now
-        resource._enqueue(self)
-        resource._grant_pending()
+        self.submit_time = env._now
+        resource._admit(self)
 
     def __enter__(self) -> "Request":
         return self
@@ -110,7 +116,7 @@ class Resource:
         self.capacity = int(capacity)
         self.name = name
         self.users: list[Request] = []
-        self._queue: list[Any] = []
+        self._queue: Any = deque()
         self.stats = ResourceStats(env.now)
 
     # -- queue discipline (overridden by PriorityResource) -------------------
@@ -119,7 +125,7 @@ class Resource:
         self._queue.append(request)
 
     def _dequeue(self) -> Request:
-        return self._queue.pop(0)
+        return self._queue.popleft()
 
     def _queue_remove(self, request: Request) -> bool:
         try:
@@ -144,7 +150,8 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Return a granted claim, or cancel a still-queued one."""
-        self.stats.advance(self.env.now, len(self.users), len(self._queue))
+        now = self.env._now
+        self.stats.advance(now, len(self.users), len(self._queue))
         try:
             self.users.remove(request)
         except ValueError:
@@ -153,20 +160,48 @@ class Resource:
             self._queue_remove(request)
         else:
             self.stats.releases += 1
-            self._grant_pending()
+            if self._queue:
+                self._grant_pending(now)
 
-    def _grant_pending(self) -> None:
-        while self._queue and len(self.users) < self.capacity:
-            self.stats.advance(self.env.now, len(self.users), len(self._queue))
-            nxt = self._dequeue()
-            self.users.append(nxt)
-            self.stats.grants += 1
-            self.stats.wait_times.add(self.env.now - nxt.submit_time)
-            nxt._ok = True
-            nxt._value = None
-            self.env.schedule(nxt, priority=URGENT)
-        # Account for state as of now even when nothing was granted.
-        self.stats.advance(self.env.now, len(self.users), len(self._queue))
+    def _admit(self, request: Request) -> None:
+        """Grant a new request at once if a unit is free, else queue it.
+
+        Grants only ever wait for a release, so a non-empty queue means the
+        pool is full: a request finding the queue empty and a unit free is
+        granted exactly as an enqueue-then-grant would.
+        """
+        now = request.submit_time
+        users = self.users
+        self.stats.advance(now, len(users), len(self._queue))
+        if self._queue or len(users) >= self.capacity:
+            self._enqueue(request)
+        else:
+            self._grant(request, now)
+
+    def _grant_pending(self, now: float) -> None:
+        """Grant queued requests while capacity allows (stats already at ``now``)."""
+        queue = self._queue
+        users = self.users
+        capacity = self.capacity
+        while queue and len(users) < capacity:
+            self._grant(self._dequeue(), now)
+
+    def _grant(self, request: Request, now: float) -> None:
+        """Hand ``request`` a unit and schedule it URGENT at ``now``.
+
+        The integrals need no further advance: :meth:`_admit` and
+        :meth:`release` advanced them to ``now`` before the state change,
+        and a second advance at the same instant adds ``dt == 0``.
+        """
+        self.users.append(request)
+        stats = self.stats
+        stats.grants += 1
+        stats.wait_times.add(now - request.submit_time)
+        request._ok = True
+        request._value = None
+        env = self.env
+        env._eid += 1
+        heapq.heappush(env._queue, (now, URGENT, env._eid, request))
 
     # -- statistics -----------------------------------------------------------
 
@@ -195,6 +230,7 @@ class PriorityResource(Resource):
 
     def __init__(self, env: "Environment", capacity: int, name: str = "priority-resource") -> None:
         super().__init__(env, capacity, name)
+        self._queue = []
         self._seq = 0
 
     def _enqueue(self, request: Request) -> None:
@@ -226,9 +262,9 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.name = name
-        self.items: list[Any] = []
-        self._getters: list[Event] = []
-        self._putters: list[tuple[Event, Any]] = []
+        self.items: deque[Any] = deque()
+        self._getters: deque[Event] = deque()
+        self._putters: deque[tuple[Event, Any]] = deque()
 
     def put(self, item: Any) -> Event:
         """Event that fires once ``item`` has been stored."""
@@ -249,13 +285,13 @@ class Store:
         while progress:
             progress = False
             if self._putters and len(self.items) < self.capacity:
-                event, item = self._putters.pop(0)
+                event, item = self._putters.popleft()
                 self.items.append(item)
                 event.succeed()
                 progress = True
             if self._getters and self.items:
-                event = self._getters.pop(0)
-                event.succeed(self.items.pop(0))
+                event = self._getters.popleft()
+                event.succeed(self.items.popleft())
                 progress = True
 
     def __len__(self) -> int:
@@ -280,8 +316,8 @@ class Container:
         self.capacity = capacity
         self.name = name
         self._level = float(init)
-        self._getters: list[tuple[Event, float]] = []
-        self._putters: list[tuple[Event, float]] = []
+        self._getters: deque[tuple[Event, float]] = deque()
+        self._putters: deque[tuple[Event, float]] = deque()
 
     @property
     def level(self) -> float:
@@ -310,14 +346,14 @@ class Container:
             if self._putters:
                 event, amount = self._putters[0]
                 if self._level + amount <= self.capacity:
-                    self._putters.pop(0)
+                    self._putters.popleft()
                     self._level += amount
                     event.succeed()
                     progress = True
             if self._getters:
                 event, amount = self._getters[0]
                 if amount <= self._level:
-                    self._getters.pop(0)
+                    self._getters.popleft()
                     self._level -= amount
                     event.succeed(amount)
                     progress = True

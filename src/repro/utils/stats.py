@@ -41,10 +41,13 @@ class RunningStats:
             raise ValueError(f"weight must be positive, got {weight}")
         value = float(value)
         self.count += 1
-        self._weight += weight
-        delta = value - self._mean
-        self._mean += (weight / self._weight) * delta
-        self._m2 += weight * delta * (value - self._mean)
+        total = self._weight + weight
+        self._weight = total
+        mean = self._mean
+        delta = value - mean
+        mean += (weight / total) * delta
+        self._mean = mean
+        self._m2 += weight * delta * (value - mean)
         if value < self.minimum:
             self.minimum = value
         if value > self.maximum:

@@ -94,6 +94,21 @@ class TestInflationFactor:
 
 
 class TestCpuContentionModel:
+    @given(
+        demand=st.floats(0.0, 400.0),
+        cores=st.floats(1.0, 64.0),
+        scale=st.sampled_from([0.0, 0.002, 0.05]),
+        sharpness=st.floats(0.0, 8.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_inflation_is_bit_identical_to_inflation_factor(
+        self, demand, cores, scale, sharpness
+    ):
+        cpu = CpuContentionModel(cores, base_load=demand, scale=scale, sharpness=sharpness)
+        assert cpu.inflation() == inflation_factor(
+            demand / cores, scale, sharpness, cpu.rho_max, cpu.kappa
+        )
+
     def test_work_invariance(self):
         """Draw w/I for duration b*I keeps core-seconds at w*b."""
         cpu = CpuContentionModel(40.0, base_load=38.0, scale=0.01, sharpness=2.0)

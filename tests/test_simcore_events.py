@@ -284,3 +284,127 @@ class TestConditions:
         bad.fail(RuntimeError("nope"))
         with pytest.raises(RuntimeError, match="nope"):
             env.run(until=cond)
+
+
+class TestSameInstantInline:
+    """Pin the event order around the run loop's same-instant inline rule.
+
+    The loop may process a yielded event at once only when it would pop it
+    next anyway (heap top, due now, succeeded, no callbacks); each case
+    here breaks one of those conditions and fixes the order that results.
+    """
+
+    def test_granted_request_does_not_jump_a_queued_urgent_event(self):
+        env = simcore.Environment()
+        first = simcore.Resource(env, capacity=1)
+        second = simcore.Resource(env, capacity=1)
+        log = []
+
+        def asker(env):
+            held = second.request()
+            yield held
+            yield 1.0
+            second.release(held)  # grants the waiter: URGENT at t=1
+            req = first.request()  # free: granted at t=1, behind that grant
+            yield req
+            log.append(("asker", env.now))
+
+        def waiter(env):
+            req = second.request()
+            yield req
+            log.append(("waiter", env.now))
+
+        env.process(asker(env))
+        env.process(waiter(env))
+        env.run()
+        assert log == [("waiter", 1.0), ("asker", 1.0)]
+
+    def test_run_until_a_granted_request_stops_there(self):
+        env = simcore.Environment()
+        pool = simcore.Resource(env, capacity=1)
+        box = {}
+        log = []
+
+        def holder(env):
+            req = pool.request()
+            yield req
+            yield 1.0
+            pool.release(req)  # grants the queued request at the heap top
+            yield box["queued"]
+            log.append("resumed")
+
+        env.process(holder(env))
+        env.run(until=0.5)
+        box["queued"] = pool.request()
+        env.run(until=box["queued"])
+        assert env.now == 1.0
+        assert box["queued"].processed
+        assert log == []
+
+    def test_any_of_two_granted_requests_fires_in_order(self):
+        env = simcore.Environment()
+        first = simcore.Resource(env, capacity=1)
+        second = simcore.Resource(env, capacity=1)
+        log = []
+
+        def asker(env):
+            yield 1.0
+            a, b = first.request(), second.request()
+            got = yield simcore.any_of(env, [a, b])
+            log.append(("asker", env.now, list(got) == [a]))
+
+        def bystander(env):
+            yield 1.0
+            log.append(("bystander", env.now))
+
+        env.process(asker(env))
+        env.process(bystander(env))
+        env.run()
+        assert log == [("bystander", 1.0), ("asker", 1.0, True)]
+
+    def test_timeout_at_the_heap_top_advances_the_clock(self):
+        env = simcore.Environment()
+        seen = []
+
+        def proc(env):
+            yield 1.0
+            seen.append((yield env.timeout(5.0, value="late")))
+            seen.append(env.now)
+            seen.append((yield env.timeout(0.0, value="now")))
+            seen.append(env.now)
+
+        env.process(proc(env))
+        env.run()
+        assert seen == ["late", 6.0, "now", 6.0]
+        assert env.now == 6.0
+
+    def test_inline_pops_are_counted(self):
+        """run() counts every event step() would process one at a time."""
+
+        def build():
+            env = simcore.Environment()
+            pool = simcore.Resource(env, capacity=2)
+
+            def user(env):
+                for _ in range(3):
+                    yield 1.0
+                    with pool.request() as req:
+                        yield req
+                        yield 0.5
+
+            for _ in range(3):
+                env.process(user(env))
+            return env
+
+        stepped = build()
+        steps = 0
+        while stepped.peek() < float("inf"):
+            stepped.step()
+            steps += 1
+
+        env = build()
+        stats = env.enable_stats()
+        env.run()
+        assert stats.events_processed == steps
+        assert stats.last_event_time == env.now == stepped.now
+        assert stats.first_event_time == 0.0

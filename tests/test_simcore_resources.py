@@ -107,6 +107,64 @@ class TestResource:
         assert pool.busy_integral() == pytest.approx(jobs * hold)
 
 
+@st.composite
+def _pool_jobs(draw):
+    """Capacity plus (arrival, hold, priority) jobs for one pool."""
+    capacity = draw(st.integers(1, 4))
+    jobs = draw(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 10.0),
+                st.floats(0.01, 5.0),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    return capacity, jobs
+
+
+class TestPoolConservation:
+    """Little's law per pool (L = λW) from the incremental integrals.
+
+    Once the simulation has drained, the queue-length integral equals the
+    sum of the waits and the user-count integral the sum of the holds: the
+    integrals must be advanced exactly once per state change, with the
+    state as it was before the change.
+    """
+
+    @pytest.mark.parametrize("kind", [simcore.Resource, simcore.PriorityResource])
+    @given(drawn=_pool_jobs())
+    @settings(max_examples=40, deadline=None)
+    def test_integrals_match_waits_and_holds(self, kind, drawn):
+        capacity, jobs = drawn
+        env = simcore.Environment()
+        pool = kind(env, capacity=capacity)
+        waits = []
+
+        def job(env, arrival, hold, priority):
+            yield arrival
+            req = pool.request(priority=priority)
+            yield req
+            waits.append(env.now - arrival)
+            yield hold
+            pool.release(req)
+
+        for arrival, hold, priority in jobs:
+            env.process(job(env, arrival, hold, priority))
+        env.run()
+
+        stats = pool.stats
+        assert stats.grants == stats.releases == len(jobs)
+        assert pool.queue_length == 0 and pool.user_count == 0
+        assert stats.queue_integral == pytest.approx(sum(waits), rel=1e-9, abs=1e-9)
+        assert pool.busy_integral() == pytest.approx(
+            sum(hold for _, hold, _ in jobs), rel=1e-9
+        )
+        assert stats.wait_times.count == len(jobs)
+
+
 class TestPriorityResource:
     def test_priority_order(self):
         env = simcore.Environment()

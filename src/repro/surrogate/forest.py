@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.surrogate.base import SurrogateModel, check_fit_inputs
-from repro.surrogate.tree import _LEAF, DecisionTreeRegressor
+from repro.surrogate.tree import _LEAF, DecisionTreeRegressor, check_max_features
 
 __all__ = ["RandomForestRegressor", "ExtraTreesRegressor"]
 
@@ -41,6 +41,7 @@ class _BaseForest(SurrogateModel):
             raise ValidationError("n_estimators must be >= 1")
         if n_jobs is not None and n_jobs != -1 and n_jobs < 1:
             raise ValidationError("n_jobs must be >= 1, -1, or None")
+        check_max_features(max_features)
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split

@@ -11,6 +11,11 @@ One implementation serves three estimators:
 The tree is stored in parallel arrays (children, feature, threshold, value),
 which keeps prediction a tight loop and makes ``apply()`` (leaf indices,
 needed by gradient boosting's leaf re-estimation) trivial.
+
+Construction is exact: for one seed the node arrays are, bit for bit,
+those of a plain per-feature scan that takes ``ndarray.mean`` and
+``((v - mean) ** 2).sum()`` of each side of each candidate split and draws
+one scalar ``uniform`` per live feature (see ``_mean_sse`` and ``fit``).
 """
 
 from __future__ import annotations
@@ -27,6 +32,33 @@ __all__ = ["DecisionTreeRegressor"]
 _LEAF = -1
 
 
+def _mean_sse(v: np.ndarray) -> tuple[float, float]:
+    """``v.mean()`` and ``((v - v.mean()) ** 2).sum()``, bit for bit.
+
+    Both sums are ``np.add.reduce`` over the whole compacted side, which is
+    pairwise summation; ``np.add.reduceat`` over several sides at once sums
+    sequentially and gives different bits. One sample short-cuts to a mean
+    of ``v[0] + 0.0`` (``np.add.reduce`` of ``[-0.0]`` is ``+0.0``) and an
+    SSE of exactly ``0.0``.
+    """
+    if len(v) == 1:
+        return v[0] + 0.0, 0.0
+    mean = np.add.reduce(v) / len(v)
+    d = v - mean
+    return mean, np.add.reduce(d * d)
+
+
+def check_max_features(value: Any) -> None:
+    """Accept ``None``, ``"sqrt"`` or a positive integer (an integral float too)."""
+    if value is None or isinstance(value, str) and value == "sqrt":
+        return
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not (number and float(value).is_integer() and value >= 1):
+        raise ValidationError(
+            f"max_features must be None, 'sqrt' or a positive integer, got {value!r}"
+        )
+
+
 class DecisionTreeRegressor(SurrogateModel):
     """Variance-reduction regression tree.
 
@@ -36,7 +68,7 @@ class DecisionTreeRegressor(SurrogateModel):
     - ``min_samples_split`` — minimum samples to attempt a split.
     - ``min_samples_leaf`` — minimum samples in each child.
     - ``max_features`` — number of features considered per split
-      (``None`` = all, ``"sqrt"``, or an int).
+      (``None`` = all, ``"sqrt"``, or a positive int).
     - ``splitter`` — ``"best"`` (CART) or ``"random"`` (Extra-Trees rule).
     """
 
@@ -61,6 +93,7 @@ class DecisionTreeRegressor(SurrogateModel):
             raise ValidationError("min_samples_leaf must be >= 1")
         if splitter not in ("best", "random"):
             raise ValidationError(f"unknown splitter {splitter!r}")
+        check_max_features(max_features)
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
@@ -82,45 +115,111 @@ class DecisionTreeRegressor(SurrogateModel):
     # -- construction -------------------------------------------------------------
 
     def fit(self, X: Any, y: Any) -> "DecisionTreeRegressor":
-        X, y = check_fit_inputs(X, y)
-        self.n_features_ = X.shape[1]
-        self.children_left_ = []
-        self.children_right_ = []
-        self.feature_ = []
-        self.threshold_ = []
-        self.value_ = []
-        self.n_node_samples_ = []
+        """Grow the tree depth-first, right child first, in one loop.
 
-        # Iterative construction with an explicit stack of (indices, depth).
-        stack: list[tuple[np.ndarray, int, int, bool]] = []
-        root = self._new_node(y, np.arange(len(y)))
-        stack.append((np.arange(len(y)), 0, root, True))
+        Each node gathers its rows once (``Xn``, ``v``) and hands the
+        compacted halves to its children; the winning split's sides become
+        the children's targets and give their means. The random splitter
+        draws every live feature's threshold with one vector ``uniform``
+        (after the ``choice`` of candidate features, when ``max_features``
+        subsamples), which yields the same values in the same order as one
+        scalar draw per feature, and compares all of them in one 2-D mask.
+        A node that cannot split is never pushed; it would draw nothing
+        from the RNG either way.
+        """
+        X, y = check_fit_inputs(X, y)
+        n_features = self.n_features_ = X.shape[1]
+        k = self._n_candidate_features()
+        subsample = k < n_features
+        features = np.arange(n_features)
+        rng = self._rng
+        randomized = self.splitter == "random"
+        min_leaf = self.min_samples_leaf
+        min_split = max(self.min_samples_split, 2 * min_leaf)
+        max_depth = np.inf if self.max_depth is None else self.max_depth
+
+        cl = self.children_left_ = [_LEAF]
+        cr = self.children_right_ = [_LEAF]
+        feat = self.feature_ = [_LEAF]
+        thr = self.threshold_ = [np.nan]
+        val = self.value_ = [float(_mean_sse(y)[0])]
+        nsamp = self.n_node_samples_ = [len(y)]
+
+        def splittable(v: np.ndarray, depth: int) -> bool:
+            if len(v) < min_split or depth >= max_depth:
+                return False
+            values = v.tolist()
+            return min(values) != max(values)
+
+        stack = [(X, y, 0, 0)] if splittable(y, 0) else []
         while stack:
-            idx, depth, node_id, _ = stack.pop()
-            split = self._find_split(X, y, idx, depth)
-            if split is None:
+            Xn, v, depth, node = stack.pop()
+            if subsample:
+                features = rng.choice(n_features, size=k, replace=False)
+                cols = Xn[:, features]
+            else:
+                cols = Xn
+            lo = np.minimum.reduce(cols)
+            hi = np.maximum.reduce(cols)
+            live = (lo != hi).nonzero()[0]
+            if not len(live):
                 continue
-            feature, threshold, left_idx, right_idx = split
-            self.feature_[node_id] = feature
-            self.threshold_[node_id] = threshold
-            left_id = self._new_node(y, left_idx)
-            right_id = self._new_node(y, right_idx)
-            self.children_left_[node_id] = left_id
-            self.children_right_[node_id] = right_id
-            stack.append((left_idx, depth + 1, left_id, True))
-            stack.append((right_idx, depth + 1, right_id, False))
+            best_j = -1
+            if randomized:
+                cuts = rng.uniform(lo[live], hi[live])
+                masks = cols.T[live] <= cuts[:, None]
+                rights = ~masks
+                for j in range(len(live)):
+                    m = masks[j]
+                    left = v[m]
+                    right = v[rights[j]]
+                    if len(left) < min_leaf or len(right) < min_leaf:
+                        continue
+                    mean_l, sse_l = _mean_sse(left)
+                    mean_r, sse_r = _mean_sse(right)
+                    sse = float(sse_l + sse_r)
+                    if best_j < 0 or sse < best_sse:
+                        best_j, best_sse = j, sse
+                        best = (m, left, right, mean_l, mean_r)
+                if best_j < 0:
+                    continue
+                f = int(features[live[best_j]])
+                t = float(cuts[best_j])
+                m, left, right, mean_l, mean_r = best
+            else:
+                for j in live:
+                    found = self._best_threshold(cols[:, j], v)
+                    if found is not None and (best_j < 0 or found[0] < best_sse):
+                        best_j, (best_sse, t) = j, found
+                if best_j < 0:
+                    continue
+                f = int(features[best_j])
+                m = Xn[:, f] <= t
+                left = v[m]
+                right = v[~m]
+                if len(left) < min_leaf or len(right) < min_leaf:
+                    continue
+                mean_l = _mean_sse(left)[0]
+                mean_r = _mean_sse(right)[0]
+
+            feat[node] = f
+            thr[node] = t
+            left_id = len(val)
+            cl[node] = left_id
+            cr[node] = left_id + 1
+            cl += (_LEAF, _LEAF)
+            cr += (_LEAF, _LEAF)
+            feat += (_LEAF, _LEAF)
+            thr += (np.nan, np.nan)
+            val += (float(mean_l), float(mean_r))
+            nsamp += (len(left), len(right))
+            depth += 1
+            if splittable(left, depth):
+                stack.append((Xn.compress(m, axis=0), left, depth, left_id))
+            if splittable(right, depth):
+                stack.append((Xn.compress(~m, axis=0), right, depth, left_id + 1))
         self._finalize()
         return self
-
-    def _new_node(self, y: np.ndarray, idx: np.ndarray) -> int:
-        node_id = len(self.value_)
-        self.children_left_.append(_LEAF)
-        self.children_right_.append(_LEAF)
-        self.feature_.append(_LEAF)
-        self.threshold_.append(np.nan)
-        self.value_.append(float(y[idx].mean()))
-        self.n_node_samples_.append(len(idx))
-        return node_id
 
     def _n_candidate_features(self) -> int:
         assert self.n_features_ is not None
@@ -128,55 +227,7 @@ class DecisionTreeRegressor(SurrogateModel):
             return self.n_features_
         if self.max_features == "sqrt":
             return max(1, int(np.sqrt(self.n_features_)))
-        return max(1, min(int(self.max_features), self.n_features_))
-
-    def _find_split(
-        self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int
-    ) -> tuple[int, float, np.ndarray, np.ndarray] | None:
-        n = len(idx)
-        if n < self.min_samples_split or n < 2 * self.min_samples_leaf:
-            return None
-        if self.max_depth is not None and depth >= self.max_depth:
-            return None
-        y_node = y[idx]
-        if np.ptp(y_node) == 0.0:
-            return None
-
-        k = self._n_candidate_features()
-        assert self.n_features_ is not None
-        features = (
-            np.arange(self.n_features_)
-            if k >= self.n_features_
-            else self._rng.choice(self.n_features_, size=k, replace=False)
-        )
-
-        best: tuple[float, int, float] | None = None  # (sse, feature, threshold)
-        for feature in features:
-            x = X[idx, feature]
-            lo, hi = x.min(), x.max()
-            if lo == hi:
-                continue
-            if self.splitter == "random":
-                candidate = self._score_threshold(
-                    x, y_node, float(self._rng.uniform(lo, hi))
-                )
-                if candidate is not None and (best is None or candidate < best[0]):
-                    best = (candidate, int(feature), float(self._last_threshold))
-            else:
-                result = self._best_threshold(x, y_node)
-                if result is not None:
-                    sse, threshold = result
-                    if best is None or sse < best[0]:
-                        best = (sse, int(feature), threshold)
-        if best is None:
-            return None
-        _, feature, threshold = best
-        mask = X[idx, feature] <= threshold
-        left_idx = idx[mask]
-        right_idx = idx[~mask]
-        if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
-            return None
-        return feature, threshold, left_idx, right_idx
+        return min(int(self.max_features), self.n_features_)
 
     def _best_threshold(self, x: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
         """Exhaustive CART scan: minimal total SSE over all thresholds."""
@@ -212,20 +263,6 @@ class DecisionTreeRegressor(SurrogateModel):
         pos = int(np.argmin(sse))
         threshold = float(0.5 * (xs[pos] + xs[pos + 1]))
         return float(sse[pos]), threshold
-
-    _last_threshold: float = np.nan
-
-    def _score_threshold(self, x: np.ndarray, y: np.ndarray, threshold: float) -> float | None:
-        """SSE of one explicit threshold (Extra-Trees random split)."""
-        mask = x <= threshold
-        n_left = int(mask.sum())
-        if n_left < self.min_samples_leaf or len(x) - n_left < self.min_samples_leaf:
-            return None
-        left = y[mask]
-        right = y[~mask]
-        sse = float(((left - left.mean()) ** 2).sum() + ((right - right.mean()) ** 2).sum())
-        self._last_threshold = threshold
-        return sse
 
     def _finalize(self) -> None:
         self._cl = np.asarray(self.children_left_, dtype=np.int64)

@@ -27,15 +27,17 @@ Scale: 500 trials (flat arm 1000) by default; set ``REPRO_BENCH_SMOKE=1``
 for a 120-trial (flat arm 360) smoke run (used by CI).
 
 Set ``REPRO_BENCH_SERVE=1`` to run the fast arm with the live telemetry
-plane attached (status board + embedded HTTP monitor + a background
-scraper hammering ``/metrics`` and ``/status``): the measured suggest/tell
-percentiles then include the monitor's hot-path cost, and the perf gate
-downstream verifies serving does not regress the campaign.
+plane attached (telemetry enabled, a status board, the embedded HTTP
+monitor and a background scraper hammering ``/metrics`` and ``/status``):
+the measured suggest/tell percentiles then include the monitor's hot-path
+cost, and the perf gate downstream verifies serving does not regress the
+campaign.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import resource
 import threading
@@ -123,18 +125,21 @@ def _run_baseline(n: int) -> dict:
 
 @contextlib.contextmanager
 def _serving(n: int):
-    """With ``REPRO_BENCH_SERVE=1``: a status board, a live monitor, and a
-    background scraper polling ``/metrics`` + ``/status`` while the timed
-    arm runs — so the measurement includes the telemetry plane's cost on
-    the hot path. Yields the monitor (or ``None`` when serving is off)."""
+    """With ``REPRO_BENCH_SERVE=1``: live telemetry with a status board, a
+    live monitor, and a background scraper polling ``/metrics`` +
+    ``/status`` while the timed arm runs — so the measurement includes the
+    telemetry plane's cost on the hot path, as in a served campaign. Yields
+    the monitor (or ``None`` when serving is off)."""
     if not SERVE:
         yield None
         return
     import urllib.request
 
-    from repro.observability.live import LiveMonitor, StatusBoard, set_status_board
+    from repro import observability
+    from repro.observability.live import LiveMonitor, StatusBoard
 
-    set_status_board(StatusBoard(name="bench_campaign", num_samples=n, mode="min"))
+    context = observability.enable()
+    context.board = StatusBoard(name="bench_campaign", num_samples=n, mode="min")
     monitor = LiveMonitor("127.0.0.1", 0, name="bench_campaign")
     monitor.start()
     stop = threading.Event()
@@ -156,7 +161,7 @@ def _serving(n: int):
         stop.set()
         scraper.join(timeout=5)
         monitor.stop()
-        set_status_board(None)
+        observability.disable()
 
 
 def _run_fast(n: int) -> dict:
@@ -280,6 +285,38 @@ def _run_sync_determinism(n: int = 60) -> dict:
     }
 
 
+def bench_ops(payload: dict) -> dict[str, dict]:
+    """The payload's per-arm ops in the ``perf_profile.json`` shape.
+
+    Per arm: each suggest/suggest_fit/suggest_tail/tell percentile block
+    (ms in the payload, seconds here; the p50 doubles as the mean) and the
+    wall time per trial. ``python -m repro perf`` reads this ``ops`` block.
+    """
+    ops: dict[str, dict] = {}
+    for arm, block in payload.items():
+        if not isinstance(block, dict):
+            continue
+        for phase in ("suggest", "suggest_fit", "suggest_tail", "tell"):
+            stats = block.get(phase)
+            if not isinstance(stats, dict):
+                continue
+            quantiles = {
+                key: stats[f"{key}_ms"] / 1e3
+                for key in ("p50", "p90", "p99")
+                if isinstance(stats.get(f"{key}_ms"), (int, float))
+            }
+            if quantiles:
+                ops[f"{arm}.{phase}"] = {
+                    "count": float(block.get("trials", 0.0)),
+                    "mean": quantiles.get("p50", math.nan),
+                    **quantiles,
+                }
+        trials, wall = block.get("trials"), block.get("wall_s")
+        if isinstance(trials, (int, float)) and isinstance(wall, (int, float)) and trials:
+            ops[f"{arm}.trial"] = {"count": float(trials), "mean": wall / trials}
+    return ops
+
+
 def test_campaign_throughput():
     fast = _run_fast(N_TRIALS)
     rss_after_fast = _peak_rss_mb()
@@ -305,6 +342,7 @@ def test_campaign_throughput():
         "peak_rss_mb": _peak_rss_mb(),
         "peak_rss_after_fast_mb": rss_after_fast,
     }
+    payload["ops"] = bench_ops(payload)
     save_results("BENCH_campaign", payload)
 
     print()

@@ -243,6 +243,29 @@ def _campaign_arm(*, fast: bool) -> tuple[dict[str, Any], list[dict[str, float]]
 # -- the benchmark --------------------------------------------------------------------
 
 
+def bench_ops(payload: dict) -> dict[str, dict]:
+    """The payload's per-unit ops in the ``perf_profile.json`` shape.
+
+    Wall time per campaign trial for each campaign arm, and time per DES
+    event (1 / events_per_sec) for each DES arm. ``python -m repro perf``
+    reads this ``ops`` block.
+    """
+    ops: dict[str, dict] = {}
+    for arm, block in payload.get("campaign", {}).items():
+        if not isinstance(block, dict):
+            continue
+        trials, wall = block.get("trials"), block.get("wall_s")
+        if isinstance(trials, (int, float)) and isinstance(wall, (int, float)) and trials:
+            ops[f"campaign.{arm}.trial"] = {"count": float(trials), "mean": wall / trials}
+    for arm, block in payload.get("des", {}).items():
+        if not isinstance(block, dict):
+            continue
+        eps = block.get("events_per_sec")
+        if isinstance(eps, (int, float)) and eps > 0:
+            ops[f"des.{arm}.event"] = {"count": float(eps), "mean": 1.0 / eps}
+    return ops
+
+
 def test_eval_throughput():
     # DES microbenchmark: raw-number fast lane vs the legacy event protocol.
     legacy = _des_arm(legacy=True)
@@ -282,6 +305,7 @@ def test_eval_throughput():
             "byte_identical": True,
         },
     }
+    payload["ops"] = bench_ops(payload)
     save_results("BENCH_eval", payload)
 
     print()

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -60,8 +59,7 @@ from repro.bayesopt.acquisition import (
 )
 from repro.bayesopt.space import Dimension, Space
 from repro.errors import OptimizationError, ValidationError
-from repro.observability.digest import get_perf
-from repro.observability.trace import get_tracer
+from repro.observability.telemetry import measure
 from repro.sampling import get_sampler
 from repro.surrogate import SurrogateModel, get_surrogate
 from repro.utils.serialization import canonical_config
@@ -273,19 +271,9 @@ class Optimizer:
             return get_surrogate(self.base_estimator)
 
     def _fit_model(self, model: SurrogateModel, X: np.ndarray, y: np.ndarray) -> None:
-        """Fit + observability: ``refit`` latency digest and tracer span."""
-        tracer = get_tracer()
-        start = time.perf_counter()
-        try:
+        """Fit + observability: one ``refit`` record (latency digest and span)."""
+        with measure("refit", n_obs=len(y)):
             model.fit(X, y)
-        finally:
-            elapsed = time.perf_counter() - start
-            get_perf().record("refit", elapsed)
-            if tracer.enabled:
-                span = tracer.start_span(
-                    "refit", start=tracer.clock() - elapsed, n_obs=len(y)
-                )
-                tracer.end_span(span)
 
     def _surrogate(self) -> SurrogateModel:
         """The published surrogate, refitted only when stale enough.

@@ -364,7 +364,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.observability import load_run, render_report
+    from repro.observability.report import load_run, render_report
 
     artifacts = load_run(args.run_dir)
     if args.format == "json":
@@ -414,7 +414,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         # No live monitor: fall back to the post-hoc report of a finished run.
         from pathlib import Path
 
-        from repro.observability import load_run, render_report
+        from repro.observability.report import load_run, render_report
 
         run_dir = Path(args.target)
         if not run_dir.is_dir():

@@ -29,8 +29,7 @@ from typing import Any, Callable, Generator, Iterator, Optional
 
 from repro import simcore
 from repro.engine.config import EngineModelParams, ThreadPoolConfig, WorkloadSpec
-from repro.observability.metrics import get_registry
-from repro.observability.trace import get_tracer
+from repro.observability.telemetry import measure, telemetry
 from repro.engine.cpumodel import CpuContentionModel
 from repro.engine.gpu import GpuModel
 from repro.engine.metrics import EngineRunResult, MetricsCollector, POOL_NAMES, TASK_INDEX
@@ -467,29 +466,16 @@ class IdentificationEngine:
     def run(self) -> EngineRunResult:
         """Run the simulation for the workload's duration and aggregate.
 
-        When the process-global tracer/registry are enabled (they are no-ops
-        by default) the run additionally emits an ``engine.run`` span with
-        per-pool wait/service children, event-loop statistics, and uniform
-        engine metrics — at zero cost for untraced runs.
+        When telemetry is enabled (it is inert by default) the run
+        additionally emits an ``engine.run`` span with per-pool wait/service
+        children, event-loop statistics, and uniform engine metrics — at
+        zero cost for untraced runs.
         """
         env = self.env
         workload = self.workload
-        tracer = get_tracer()
-        registry = get_registry()
-        observing = tracer.enabled or registry.enabled
-        if observing:
+        context = telemetry()
+        if context.enabled:
             env.enable_stats()
-        run_span = (
-            tracer.start_span(
-                "engine.run",
-                sim_clock=lambda: env.now,
-                config=str(self.config),
-                requests=workload.simultaneous_requests,
-                seed=self.seed,
-            )
-            if tracer.enabled
-            else None
-        )
         self._parked: dict[int, simcore.Event] = {}
         if workload.mode == "open":
             self._allowed_population = 0
@@ -507,68 +493,71 @@ class IdentificationEngine:
             if workload.mode == "scheduled":
                 env.process(self._population_controller(), name="population")
         env.process(self._monitor(), name="monitor")
-        env.run(until=workload.duration)
-        if observing:
-            self._publish_observability(tracer, registry, run_span)
+        with measure(
+            "engine.run",
+            sim_clock=lambda: env.now,
+            config=str(self.config),
+            requests=workload.simultaneous_requests,
+            seed=self.seed,
+        ) as run_span:
+            env.run(until=workload.duration)
+            if context.enabled:
+                self._publish_observability(context, run_span)
         return self._result()
 
-    def _publish_observability(self, tracer: Any, registry: Any, run_span: Any) -> None:
+    def _publish_observability(self, context: Any, run_span: Any) -> None:
         """Emit pool spans + uniform metrics after one engine run."""
         env = self.env
+        tracer, registry = context.tracer, context.registry
         loop = env.stats.snapshot(env.now) if env.stats is not None else {}
         for name, pool in self.pools.items():
             stats = pool.stats
             waits = stats.wait_times.summary()
             occupancy = pool.occupancy()
-            if run_span is not None:
-                span = tracer.start_span(
-                    f"pool:{name}",
-                    parent=run_span,
-                    start=run_span.start_s,
-                    capacity=pool.capacity,
-                    grants=stats.grants,
-                    wait_mean_s=waits.mean,
-                    service_mean_s=(
-                        stats.busy_integral / stats.releases if stats.releases else 0.0
-                    ),
-                    occupancy=occupancy,
-                    mean_queue_length=stats.mean_queue_length(env.now),
-                )
-                tracer.end_span(span)
-            if registry.enabled:
-                registry.gauge(
-                    "engine_pool_busy", "mean fraction of pool threads occupied", ("pool",)
-                ).set(occupancy, pool=name)
-                registry.gauge(
-                    "engine_pool_wait_mean_s", "mean wait for a pool thread", ("pool",)
-                ).set(waits.mean, pool=name)
-                registry.histogram(
-                    "engine_pool_wait_seconds",
-                    "distribution of waits for a pool thread",
-                    ("pool",),
-                ).observe(waits.mean, pool=name)
-                registry.counter(
-                    "engine_pool_grants_total", "pool thread grants", ("pool",)
-                ).inc(stats.grants, pool=name)
-        if registry.enabled:
+            span = tracer.start_span(
+                f"pool:{name}",
+                parent=run_span,
+                start=run_span.start_s,
+                capacity=pool.capacity,
+                grants=stats.grants,
+                wait_mean_s=waits.mean,
+                service_mean_s=(
+                    stats.busy_integral / stats.releases if stats.releases else 0.0
+                ),
+                occupancy=occupancy,
+                mean_queue_length=stats.mean_queue_length(env.now),
+            )
+            tracer.end_span(span)
+            registry.gauge(
+                "engine_pool_busy", "mean fraction of pool threads occupied", ("pool",)
+            ).set(occupancy, pool=name)
+            registry.gauge(
+                "engine_pool_wait_mean_s", "mean wait for a pool thread", ("pool",)
+            ).set(waits.mean, pool=name)
+            registry.histogram(
+                "engine_pool_wait_seconds",
+                "distribution of waits for a pool thread",
+                ("pool",),
+            ).observe(waits.mean, pool=name)
             registry.counter(
-                "engine_requests_completed_total", "requests served past warm-up"
-            ).inc(self.metrics.completed)
-            if loop:
-                registry.counter(
-                    "engine_loop_events_total", "DES events processed"
-                ).inc(loop["events_processed"])
-                registry.gauge(
-                    "engine_loop_sim_wall_ratio", "simulated-vs-wall speed of the last run"
-                ).set(loop["sim_wall_ratio"])
-                registry.gauge(
-                    "engine_loop_max_queue_depth", "peak event-heap depth of the last run"
-                ).set(loop["max_queue_depth"])
-        if run_span is not None:
-            for key, value in loop.items():
-                run_span.set(key, value)
-            run_span.set("completed_requests", self.metrics.completed)
-            tracer.end_span(run_span)
+                "engine_pool_grants_total", "pool thread grants", ("pool",)
+            ).inc(stats.grants, pool=name)
+        registry.counter(
+            "engine_requests_completed_total", "requests served past warm-up"
+        ).inc(self.metrics.completed)
+        if loop:
+            registry.counter(
+                "engine_loop_events_total", "DES events processed"
+            ).inc(loop["events_processed"])
+            registry.gauge(
+                "engine_loop_sim_wall_ratio", "simulated-vs-wall speed of the last run"
+            ).set(loop["sim_wall_ratio"])
+            registry.gauge(
+                "engine_loop_max_queue_depth", "peak event-heap depth of the last run"
+            ).set(loop["max_queue_depth"])
+        for key, value in loop.items():
+            run_span.set(key, value)
+        run_span.set("completed_requests", self.metrics.completed)
 
     def _result(self) -> EngineRunResult:
         wl = self.workload

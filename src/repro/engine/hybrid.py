@@ -46,9 +46,7 @@ from repro.engine.schedule import ArrivalSchedule
 from repro.engine.tasks import TaskType
 from repro.errors import ValidationError
 from repro.monitoring.hybrid import EpochSample, HybridAggregator
-from repro.observability.digest import get_perf
-from repro.observability.metrics import get_registry
-from repro.observability.trace import get_tracer
+from repro.observability.telemetry import telemetry
 from repro.utils.seeding import derive_seed, spawn_rng
 from repro.utils.stats import RunningStats
 
@@ -312,21 +310,19 @@ class HybridEngine:
 
     def run(self) -> HybridRunResult:
         wall_start = time.perf_counter()
-        tracer = get_tracer()
-        perf = get_perf()
-        registry = get_registry()
+        context = telemetry()
         knobs = self.knobs
         duration = self.workload.duration
         agg = HybridAggregator()
 
         run_span = (
-            tracer.start_span(
+            context.tracer.start_span(
                 "hybrid.run",
                 config=str(self.config),
                 duration=duration,
                 seed=self.seed,
             )
-            if tracer.enabled
+            if context.enabled
             else None
         )
 
@@ -347,19 +343,6 @@ class HybridEngine:
             backlog = fluid.backlog
             reason = self._des_reason(
                 index, rate, prev_rate, fluid, prev_saturated, since_sample, sample_due
-            )
-            span = (
-                tracer.start_span(
-                    "hybrid.epoch",
-                    parent=run_span,
-                    mode="des" if reason else "fluid",
-                    reason=reason or "steady",
-                    epoch_index=index,
-                    start=start,
-                    rate=rate,
-                )
-                if tracer.enabled
-                else None
             )
             # Flow conservation makes un-saturated open-loop throughput exact
             # (served = offered); the DES-calibrated correction only carries
@@ -394,16 +377,23 @@ class HybridEngine:
                     # prediction error beyond what window noise can explain:
                     # tighten the cadence until a window comes back inside.
                     sample_due = max(1, knobs.sample_every // 4)
-            if span is not None:
-                span.set("throughput", agg.epochs[-1].throughput)
-                span.set("backlog", backlog)
-                tracer.end_span(span)
-            perf.record("hybrid_epoch", time.perf_counter() - epoch_wall)
+            context.record(
+                "hybrid_epoch",
+                time.perf_counter() - epoch_wall,
+                parent=run_span,
+                mode="des" if reason else "fluid",
+                reason=reason or "steady",
+                epoch_index=index,
+                rate=rate,
+                throughput=agg.epochs[-1].throughput,
+                backlog=backlog,
+            )
             prev_rate = rate
             prev_saturated = fluid.saturated
 
         result = self._result(agg, corrections, time.perf_counter() - wall_start)
-        if registry.enabled:
+        registry = context.registry
+        if registry is not None:
             counts = agg.mode_counts()
             epochs_total = registry.counter(
                 "hybrid_epochs_total", "hybrid epochs by execution mode", ("mode",)
@@ -430,7 +420,7 @@ class HybridEngine:
             run_span.set("des_epochs", result.des_epochs)
             run_span.set("max_window_error", result.max_window_error)
             run_span.set("within_bound", result.within_bound)
-            tracer.end_span(run_span)
+            context.tracer.end_span(run_span)
         return result
 
     # -- DES sampling window --------------------------------------------------

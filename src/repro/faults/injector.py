@@ -137,10 +137,10 @@ class FaultInjector:
 
     def _record(self, kind: str) -> None:
         self.injected[kind] += 1
-        from repro.observability.metrics import get_registry
+        from repro.observability.telemetry import telemetry
 
-        registry = get_registry()
-        if registry.enabled:
+        registry = telemetry().registry
+        if registry is not None:
             registry.counter(
                 "repro_faults_injected_total",
                 "faults injected into trial evaluations",

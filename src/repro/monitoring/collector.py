@@ -7,7 +7,8 @@ from typing import Callable, Generator, Optional
 
 from repro import simcore
 from repro.errors import ValidationError
-from repro.observability.metrics import MetricsRegistry, get_registry
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.telemetry import telemetry
 from repro.utils.timeseries import TimeSeries
 
 __all__ = ["Probe", "MetricCollector"]
@@ -40,7 +41,7 @@ class MetricCollector:
     ``D / interval``. Off by default for backward compatibility.
 
     Samples are also published into a :class:`MetricsRegistry` (the
-    process-global one unless ``registry=`` is given) as the
+    telemetry context's registry unless ``registry=`` is given) as the
     ``monitor_probe_value{probe=...}`` gauge plus a sample counter — a no-op
     while observability is disabled.
     """
@@ -78,13 +79,14 @@ class MetricCollector:
         """Start sampling; returns the collector process."""
         if self._process is not None:
             raise ValidationError("collector already started")
-        registry = self._registry if self._registry is not None else get_registry()
-        self._gauge = registry.gauge(
-            "monitor_probe_value", "last sampled value per probe", ("probe",)
-        )
-        self._sample_counter = registry.counter(
-            "monitor_samples_total", "probe samples taken"
-        )
+        registry = self._registry if self._registry is not None else telemetry().registry
+        if registry is not None:
+            self._gauge = registry.gauge(
+                "monitor_probe_value", "last sampled value per probe", ("probe",)
+            )
+            self._sample_counter = registry.counter(
+                "monitor_samples_total", "probe samples taken"
+            )
         self._process = self.env.process(self._run(), name="metric-collector")
         return self._process
 
@@ -93,8 +95,9 @@ class MetricCollector:
         for probe in self.probes:
             value = float(probe.read())
             self.series[probe.name].append(now, value)
-            self._gauge.set(value, probe=probe.name)
-            self._sample_counter.inc()
+            if self._gauge is not None:
+                self._gauge.set(value, probe=probe.name)
+                self._sample_counter.inc()
 
     def _run(self) -> Generator[simcore.Event, None, None]:
         try:

@@ -15,7 +15,7 @@ answers. Three views over one recorded campaign:
 
 Everything here is post-hoc and pure: it reads spans (live from a
 :class:`~repro.observability.trace.RecordingTracer` or replayed from
-``spans.jsonl``) and never touches the process-global observability state.
+``spans.jsonl``) and never touches the process's telemetry context.
 """
 
 from __future__ import annotations

@@ -21,27 +21,22 @@ background-refit worker):
 - Prometheus *summary* series (``repro_latency_seconds{op=,quantile=}``)
   appended to ``metrics.prom``.
 
-Like the tracer and registry, the process-global default is an inert
-:class:`NullPerfRecorder`; instrumentation sites branch on ``enabled`` and
-pay nothing when observability is off.
+Instrumented code never records here directly: it publishes through the
+telemetry context (:mod:`repro.observability.telemetry`), which routes each
+op's duration to its digest.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 __all__ = [
     "LatencyDigest",
     "PerfRecorder",
-    "NullPerfRecorder",
-    "get_perf",
-    "set_perf",
     "PERF_PROFILE_FILE",
     "PERF_QUANTILES",
 ]
@@ -247,24 +242,8 @@ class LatencyDigest:
         return f"LatencyDigest(count={self.count}, centroids={len(self._means)})"
 
 
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-_NULL_TIMER = _NullTimer()
-
-
 class PerfRecorder:
     """Per-op latency digests plus a windowed time series; thread-safe."""
-
-    #: instrumentation sites branch on this to skip recording entirely.
-    enabled = True
 
     def __init__(
         self,
@@ -304,18 +283,6 @@ class PerfRecorder:
             if wd is None:
                 wd = window[op] = LatencyDigest(self.compression)
             wd.add(seconds)
-
-    def timed(self, op: str) -> Any:
-        """Context manager recording the block's wall duration under ``op``."""
-        return self._timer(op)
-
-    @contextmanager
-    def _timer(self, op: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(op, time.perf_counter() - start)
 
     # -- queries -------------------------------------------------------------------
 
@@ -457,38 +424,3 @@ class PerfRecorder:
             lines.append(f'repro_latency_seconds_sum{{op="{op}"}} {digest.sum:.9g}')
             lines.append(f'repro_latency_seconds_count{{op="{op}"}} {digest.count}')
         return "\n".join(lines) + "\n"
-
-
-class NullPerfRecorder(PerfRecorder):
-    """The inert default: records nothing, allocates nothing."""
-
-    enabled = False
-
-    def record(self, op: str, seconds: float) -> None:
-        pass
-
-    def timed(self, op: str) -> Any:
-        return _NULL_TIMER
-
-    def drain_state(self) -> dict[str, Any]:
-        return {}
-
-    def merge_state(self, state: Mapping[str, Any]) -> int:
-        return 0
-
-
-_default_perf: PerfRecorder = NullPerfRecorder()
-_default_lock = threading.Lock()
-
-
-def get_perf() -> PerfRecorder:
-    """The process-global perf recorder (inert unless explicitly enabled)."""
-    return _default_perf
-
-
-def set_perf(recorder: Optional[PerfRecorder]) -> PerfRecorder:
-    """Install ``recorder`` globally (``None`` restores the null); returns it."""
-    global _default_perf
-    with _default_lock:
-        _default_perf = recorder if recorder is not None else NullPerfRecorder()
-        return _default_perf

@@ -6,24 +6,26 @@ process-executor campaign produced traces with empty evaluations. The
 fabric closes the loop in three moves:
 
 1. **activate** — the pool initializer calls :func:`activate_worker`, which
-   installs a worker-local recording tracer, metrics registry and perf
-   recorder (the same process-global slots the instrumented code already
-   publishes into — no instrumentation site changes);
+   installs a worker-local telemetry context (the one context every
+   instrumentation site already publishes into — no site changes);
 2. **drain** — after each trial the worker calls :func:`drain_worker`,
-   serializing everything recorded since the previous drain into one
-   JSON-able payload shipped back alongside the trial result;
-3. **merge** — the parent calls :func:`merge_payload`, which remaps span
-   ids, rebases the worker clock onto the parent tracer's timeline (via
-   each tracer's ``started_at`` wall timestamp), stamps ``runner_id`` /
-   ``pid`` attribution onto every span, accumulates counters/histograms
-   into the parent registry and folds latency digests into the parent
-   recorder. Merged spans stream through the parent tracer's subscribers,
-   so the live watchdog sees worker-side spans too.
+   serializing everything the context recorded since the previous drain
+   into one JSON-able payload shipped back alongside the trial result;
+3. **merge** — the parent calls :func:`merge_payload`, which folds the
+   payload into the parent's context as one unit: it remaps span ids,
+   rebases the worker clock onto the parent tracer's timeline (via each
+   tracer's ``started_at`` wall timestamp), stamps ``runner_id`` / ``pid``
+   attribution onto every span, accumulates counters/histograms into the
+   registry and folds latency digests into the recorder. Merged spans
+   stream through the tracer's subscribers, so the live watchdog sees
+   worker-side spans too.
 
 The payload is a plain dict of JSON types, so the same schema works over
 pickle (process pools today) or a wire protocol (the ROADMAP's multi-host
 runner backend tomorrow). Merge accounting is self-observable:
-``repro_fabric_merged_spans_total`` / ``repro_fabric_merge_dropped_total``.
+``repro_fabric_merged_spans_total`` / ``repro_fabric_merge_dropped_total``;
+a malformed payload, or a malformed block of one, is dropped and counted,
+never raised.
 """
 
 from __future__ import annotations
@@ -31,22 +33,8 @@ from __future__ import annotations
 import os
 from typing import Any, Mapping, Optional
 
-from repro.observability.digest import (
-    PerfRecorder,
-    get_perf,
-    set_perf,
-)
-from repro.observability.metrics import (
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
-from repro.observability.trace import (
-    RecordingTracer,
-    Span,
-    get_tracer,
-    set_tracer,
-)
+from repro.observability.telemetry import Telemetry, install, telemetry
+from repro.observability.trace import Span
 
 __all__ = [
     "FABRIC_SCHEMA",
@@ -79,8 +67,8 @@ def activate_worker(runner_name: str = "experiment") -> str:
     that inherited an activated parent's globals across ``fork`` — would
     otherwise keep the first activation's ``runner_id`` and mis-attribute
     every span it ships. When the name or pid differs from the recorded
-    activation, fresh telemetry slots are installed (dropping anything the
-    previous identity had buffered) and the id is re-derived.
+    activation, a fresh telemetry context is installed (dropping anything
+    the previous identity had buffered) and the id is re-derived.
     """
     global _runner_id, _activated_pid
     pid = os.getpid()
@@ -89,9 +77,7 @@ def activate_worker(runner_name: str = "experiment") -> str:
         return _runner_id
     # First activation, a new identity, or a forked inheritance: telemetry
     # buffered under the old identity must not leak into the new one.
-    set_tracer(RecordingTracer())
-    set_registry(MetricsRegistry())
-    set_perf(PerfRecorder())
+    install(Telemetry())
     _runner_id = runner_id
     _activated_pid = pid
     return _runner_id
@@ -115,45 +101,40 @@ def drain_worker() -> Optional[dict[str, Any]]:
     """
     if _runner_id is None:
         return None
-    payload: dict[str, Any] = {
+    context = telemetry()
+    if not context.enabled:
+        return None
+    return {
         "schema": FABRIC_SCHEMA,
         "pid": os.getpid(),
         "runner_id": _runner_id,
+        "epoch_unix": context.tracer.started_at,
+        "spans": [span.to_dict() for span in context.tracer.drain()],
+        "metrics": context.registry.drain_state(),
+        "perf": context.perf.drain_state(),
     }
-    tracer = get_tracer()
-    if isinstance(tracer, RecordingTracer):
-        payload["epoch_unix"] = tracer.started_at
-        payload["spans"] = [span.to_dict() for span in tracer.drain()]
-    registry = get_registry()
-    if registry.enabled:
-        payload["metrics"] = registry.drain_state()
-    perf = get_perf()
-    if perf.enabled:
-        payload["perf"] = perf.drain_state()
-    return payload
 
 
 def merge_payload(
     payload: Mapping[str, Any],
     *,
-    tracer: Any = None,
-    registry: Any = None,
-    perf: Any = None,
+    into: Optional[Telemetry] = None,
     parent: Optional[Span] = None,
     attributes: Optional[dict[str, Any]] = None,
 ) -> int:
-    """Fold one worker payload into the parent-side telemetry.
+    """Fold one worker payload into a telemetry context (default: current).
 
     ``parent`` (typically the open trial span) adopts worker spans whose
     parent did not travel in the payload; ``attributes`` (e.g.
     ``trial_id``) are stamped onto every merged span alongside the
     payload's ``runner_id``/``pid``. Returns the number of spans merged.
-    Malformed payloads count into ``repro_fabric_merge_dropped_total``
-    rather than raising — a telemetry bug must never fail a trial.
+    A malformed payload or block counts into
+    ``repro_fabric_merge_dropped_total`` rather than raising — a telemetry
+    bug must never fail a trial.
     """
-    tracer = tracer if tracer is not None else get_tracer()
-    registry = registry if registry is not None else get_registry()
-    perf = perf if perf is not None else get_perf()
+    context = into if into is not None else telemetry()
+    if not context.enabled:
+        return 0
     merged = 0
     dropped = 0
     if not isinstance(payload, Mapping) or payload.get("schema") != FABRIC_SCHEMA:
@@ -165,25 +146,36 @@ def merge_payload(
     if payload.get("pid") is not None:
         span_attrs.setdefault("pid", payload["pid"])
     spans = payload.get("spans") or []
-    if spans and isinstance(tracer, RecordingTracer):
-        epoch = payload.get("epoch_unix")
-        merged, span_dropped = tracer.ingest(
-            list(spans), parent=parent, epoch_unix=epoch, attributes=span_attrs
-        )
-        dropped += span_dropped
-    metrics_state = payload.get("metrics")
-    if metrics_state and getattr(registry, "enabled", False):
-        registry.merge_state(metrics_state)
-    perf_state = payload.get("perf")
-    if perf_state and getattr(perf, "enabled", False):
-        perf.merge_state(perf_state)
-    if getattr(registry, "enabled", False):
-        registry.counter(
-            "repro_fabric_merged_spans_total",
-            "worker spans merged into the parent tracer",
-        ).inc(merged)
-        registry.counter(
-            "repro_fabric_merge_dropped_total",
-            "malformed fabric entries dropped during merge",
-        ).inc(dropped)
+    if spans:
+        try:
+            merged, span_dropped = context.tracer.ingest(
+                list(spans),
+                parent=parent,
+                epoch_unix=payload.get("epoch_unix"),
+                attributes=span_attrs,
+            )
+            dropped += span_dropped
+        except (TypeError, ValueError):
+            dropped += 1
+    for key, sink in (("metrics", context.registry), ("perf", context.perf)):
+        state = payload.get(key)
+        if not state:
+            continue
+        try:
+            if not isinstance(state, Mapping) or (
+                key == "metrics" and not all(isinstance(v, Mapping) for v in state.values())
+            ):
+                raise TypeError(f"malformed {key} block")
+            sink.merge_state(state)
+        except (TypeError, ValueError, AttributeError, KeyError):
+            dropped += 1
+    registry = context.registry
+    registry.counter(
+        "repro_fabric_merged_spans_total",
+        "worker spans merged into the parent tracer",
+    ).inc(merged)
+    registry.counter(
+        "repro_fabric_merge_dropped_total",
+        "malformed fabric entries dropped during merge",
+    ).inc(dropped)
     return merged

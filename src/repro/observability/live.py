@@ -44,23 +44,17 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import ValidationError
 from repro.observability import fabric
-from repro.observability.digest import get_perf
-from repro.observability.metrics import get_registry
-from repro.observability.trace import get_tracer
-from repro.observability.watchdog import get_watchdog
+from repro.observability.telemetry import telemetry
 
 __all__ = [
     "MONITOR_FILE",
     "STATUS_SCHEMA",
     "PUSH_SCHEMA",
-    "NullStatusBoard",
     "StatusBoard",
-    "get_status_board",
-    "set_status_board",
     "parse_serve_spec",
     "LiveMonitor",
     "TelemetryPusher",
@@ -83,38 +77,14 @@ _MAX_BODY_BYTES = 32 * 1024 * 1024
 # -- campaign status board ------------------------------------------------------------
 
 
-class NullStatusBoard:
-    """Inert default: the runner's hooks cost one attribute check."""
-
-    enabled = False
-
-    def configure(self, **kwargs: Any) -> None:
-        pass
-
-    def set_phase(self, phase: str) -> None:
-        pass
-
-    def trial_started(self, trial_id: str) -> None:
-        pass
-
-    def trial_finished(
-        self, trial_id: str, *, value: float | None = None, status: str = ""
-    ) -> None:
-        pass
-
-    def snapshot(self, tail: int = 32) -> dict[str, Any]:
-        return {}
-
-
-class StatusBoard(NullStatusBoard):
+class StatusBoard:
     """Thread-safe campaign progress counters backing ``GET /status``.
 
-    The runner calls :meth:`trial_started` / :meth:`trial_finished` from the
+    A serving campaign arms one on its telemetry context (``board``). The
+    runner calls :meth:`trial_started` / :meth:`trial_finished` from the
     submit loop; the manager drives :meth:`set_phase`. Everything else is
     derived, so the hot-path cost is one short critical section per trial.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -137,14 +107,6 @@ class StatusBoard(NullStatusBoard):
         self._history: list[tuple[str, float]] = []
         self._incumbent_value: float | None = None
         self._incumbent_trial: str | None = None
-
-    def configure(self, **kwargs: Any) -> None:
-        with self._lock:
-            for key in ("name", "mode"):
-                if key in kwargs:
-                    setattr(self, key, kwargs[key])
-            if "num_samples" in kwargs:
-                self.num_samples = int(kwargs["num_samples"])
 
     def set_phase(self, phase: str) -> None:
         with self._lock:
@@ -204,23 +166,6 @@ class StatusBoard(NullStatusBoard):
             }
 
 
-_board: NullStatusBoard = NullStatusBoard()
-_board_lock = threading.Lock()
-
-
-def get_status_board() -> NullStatusBoard:
-    """The process-global status board (inert unless a campaign serves)."""
-    return _board
-
-
-def set_status_board(board: NullStatusBoard | None) -> NullStatusBoard:
-    """Install ``board`` globally (``None`` restores the null); returns it."""
-    global _board
-    with _board_lock:
-        _board = board if board is not None else NullStatusBoard()
-        return _board
-
-
 # -- serve-spec parsing ---------------------------------------------------------------
 
 
@@ -274,8 +219,8 @@ class LiveMonitor:
     (or a test): :meth:`start` binds the server, subscribes to the live
     tracer/watchdog, and writes the ``monitor.json`` discovery file;
     :meth:`stop` reverses all of it. The server never touches campaign
-    state directly — it reads the process-global observability singletons,
-    so it serves whatever the campaign records.
+    state directly — it reads the process's telemetry context, so it
+    serves whatever the campaign records.
     """
 
     def __init__(
@@ -356,12 +301,12 @@ class LiveMonitor:
             daemon=True,
         )
         self._thread.start()
-        tracer = get_tracer()
-        if getattr(tracer, "enabled", False):
-            tracer.subscribe(self._on_span)
-            self._subscribed_tracer = tracer
-        watchdog = get_watchdog()
-        if watchdog is not None and hasattr(watchdog, "subscribe"):
+        context = telemetry()
+        if context.enabled:
+            context.tracer.subscribe(self._on_span)
+            self._subscribed_tracer = context.tracer
+        watchdog = context.watchdog
+        if watchdog is not None:
             watchdog.subscribe(self._on_alert)
             self._subscribed_watchdog = watchdog
         self._write_discovery(closed=False)
@@ -534,12 +479,10 @@ class LiveMonitor:
     def render_metrics(self) -> str:
         """Prometheus text: live registry + perf digests + self-metrics."""
         parts = []
-        registry = get_registry()
-        if getattr(registry, "enabled", False):
-            parts.append(registry.render_prometheus())
-        perf = get_perf()
-        if getattr(perf, "enabled", False):
-            parts.append(perf.render_prometheus())
+        context = telemetry()
+        if context.enabled:
+            parts.append(context.registry.render_prometheus())
+            parts.append(context.perf.render_prometheus())
         parts.append(self._render_self_metrics())
         return "\n".join(part.rstrip("\n") for part in parts if part) + "\n"
 
@@ -559,9 +502,11 @@ class LiveMonitor:
     def status(self, *, tail: int = 32) -> dict[str, Any]:
         """The ``GET /status`` document."""
         doc: dict[str, Any] = {"schema": STATUS_SCHEMA, "url": self.url}
-        doc.update(get_status_board().snapshot(tail=tail))
+        context = telemetry()
+        if context.board is not None:
+            doc.update(context.board.snapshot(tail=tail))
         doc["workers"] = self._worker_liveness()
-        watchdog = get_watchdog()
+        watchdog = context.watchdog
         if watchdog is not None:
             alerts = watchdog.alerts()
             doc["alerts"] = {
@@ -570,8 +515,7 @@ class LiveMonitor:
             }
         else:
             doc["alerts"] = {"total": 0, "recent": []}
-        tracer = get_tracer()
-        doc["spans_recorded"] = getattr(tracer, "spans_recorded", 0)
+        doc["spans_recorded"] = context.tracer.spans_recorded if context.enabled else 0
         doc["live"] = self.self_stats()
         return doc
 
@@ -610,23 +554,14 @@ class LiveMonitor:
         from repro.observability.analysis import analyze_spans
         from repro.observability.dashboard import render_dashboard
 
-        tracer = get_tracer()
-        spans = tracer.finished() if getattr(tracer, "enabled", False) else []
-        analysis = analyze_spans(spans)
-        watchdog = get_watchdog()
-        alerts = (
-            [alert.to_dict() for alert in watchdog.alerts()]
-            if watchdog is not None
-            else []
-        )
-        perf = get_perf()
-        perf_doc = perf.to_dict() if getattr(perf, "enabled", False) else None
+        context = telemetry()
+        watchdog = context.watchdog
         return render_dashboard(
-            analysis,
+            analyze_spans(context.tracer.finished() if context.enabled else []),
             title=f"{self.name} (live)",
             subtitle=f"live monitor at {self.url}",
-            alerts=alerts,
-            perf=perf_doc,
+            alerts=[alert.to_dict() for alert in watchdog.alerts()] if watchdog else [],
+            perf=context.perf.to_dict() if context.enabled else None,
             live=True,
         )
 

@@ -9,9 +9,9 @@ that exports to two formats:
 - **Prometheus text exposition** (:meth:`render_prometheus`) — so a run can
   be scraped or diffed with standard tooling.
 
-Like the tracer, the process-global default is inert: a
-:class:`NullRegistry` hands out shared no-op instruments, so instrumented
-code costs one dict lookup and no allocation when observability is off.
+Publishers reach the registry of the process's telemetry context
+(:mod:`repro.observability.telemetry`), and skip publishing entirely while
+that context is inert.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 import math
 import threading
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import ValidationError
 
@@ -29,9 +29,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "get_registry",
-    "set_registry",
 ]
 
 LabelValues = tuple[str, ...]
@@ -245,9 +242,6 @@ class Histogram(_Instrument):
 class MetricsRegistry:
     """Named instruments, created once and shared by every publisher."""
 
-    #: instrumentation sites branch on this to skip publishing work.
-    enabled = True
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}
@@ -303,8 +297,6 @@ class MetricsRegistry:
         of series merged; malformed or conflicting entries are skipped, not
         fatal.
         """
-        if not self.enabled:
-            return 0
         merged = 0
         for name, inst_state in dict(state).items():
             try:
@@ -364,14 +356,6 @@ class MetricsRegistry:
         path.write_text(json.dumps(self.to_dict(), indent=2, default=str) + "\n")
         return path
 
-    def export_jsonl(self, path: str | Path) -> Path:
-        """One instrument per line (streaming-friendly variant)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        lines = [json.dumps(inst.to_dict(), default=str) for inst in self.instruments()]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""))
-        return path
-
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (v0.0.4)."""
         lines: list[str] = []
@@ -394,90 +378,9 @@ class MetricsRegistry:
                     lines.append(f"{inst.name}{_fmt_labels(labels)} {value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def export_prometheus(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.render_prometheus())
-        return path
-
 
 def _fmt_labels(labels: dict[str, Any]) -> str:
     if not labels:
         return ""
     inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
     return "{" + inner + "}"
-
-
-class _NullInstrument:
-    """Accepts every instrument operation and keeps nothing."""
-
-    __slots__ = ()
-
-    name = "null"
-    kind = "null"
-    labelnames: tuple[str, ...] = ()
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def set(self, value: float, **labels: Any) -> None:
-        pass
-
-    def observe(self, value: float, **labels: Any) -> None:
-        pass
-
-    def value(self, **labels: Any) -> float:
-        return math.nan
-
-    def snapshot(self, **labels: Any) -> dict[str, Any]:
-        return {"count": 0, "sum": 0.0, "mean": math.nan, "buckets": {}}
-
-    def series(self) -> list[tuple[dict[str, str], Any]]:
-        return []
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "kind": self.kind, "help": "", "labelnames": [], "series": []}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry(MetricsRegistry):
-    """The inert default: every instrument is the shared no-op."""
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Any:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> Any:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] | None = None,
-    ) -> Any:
-        return _NULL_INSTRUMENT
-
-
-_default_registry: MetricsRegistry = NullRegistry()
-_default_lock = threading.Lock()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-global registry (inert unless explicitly enabled)."""
-    return _default_registry
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install ``registry`` globally (``None`` restores the null); returns it."""
-    global _default_registry
-    with _default_lock:
-        _default_registry = registry if registry is not None else NullRegistry()
-        return _default_registry

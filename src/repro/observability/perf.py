@@ -6,14 +6,16 @@ become a committed *baseline*, and every later run diffs against it with a
 non-zero exit on regression, so CI can hold the line on the hot-path
 latencies the paper's reproducibility claim rests on.
 
-Three profile sources are sniffed automatically:
+Every source carries one schema, an ``ops`` block of per-op statistics
+(``count``, ``mean``, ``p50``/``p90``/``p99`` in seconds, optionally the
+``digest``):
 
 - ``perf_profile.json`` (or a run directory containing one) — full digests,
   enabling the bootstrap significance test;
-- ``BENCH_campaign.json`` — per-arm suggest/tell percentiles from
-  ``benchmarks/test_campaign_throughput.py``;
-- ``BENCH_eval.json`` — campaign/DES throughputs from
-  ``benchmarks/test_eval_throughput.py``, folded into mean latencies.
+- a recorded baseline (``python -m repro perf record``);
+- a ``BENCH_*.json`` result from ``benchmarks/``, whose benchmark computes
+  its own per-unit ops (per-arm suggest/tell percentiles, time per trial,
+  per DES event or request) and writes them in the same shape.
 
 The statistical test: when both sides carry digests, each compared quantile
 is bootstrapped (resampling the digest-reconstructed samples) and a
@@ -81,7 +83,7 @@ class OpStats:
 
 
 def load_profile(path: str | Path) -> dict[str, OpStats]:
-    """Load a latency profile from any supported source (sniffed by shape)."""
+    """Load the ``ops`` block of a profile, baseline or BENCH result."""
     source = Path(path)
     if source.is_dir():
         source = source / PERF_PROFILE_FILE
@@ -93,19 +95,9 @@ def load_profile(path: str | Path) -> dict[str, OpStats]:
         raise ValidationError(f"{source} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{source} does not hold a JSON object")
-    if "ops" in data:
-        return _parse_ops(data["ops"])
-    if _looks_like_bench_campaign(data):
-        return _parse_bench_campaign(data)
-    # hybrid must be sniffed before eval: its payload also carries a "des" arm.
-    if _looks_like_bench_hybrid(data):
-        return _parse_bench_hybrid(data)
-    if _looks_like_bench_eval(data):
-        return _parse_bench_eval(data)
-    raise ValidationError(
-        f"{source} is neither a perf profile, a recorded baseline, "
-        "nor a recognized BENCH result"
-    )
+    if not isinstance(data.get("ops"), Mapping):
+        raise ValidationError(f"{source} carries no ops block")
+    return _parse_ops(data["ops"])
 
 
 def _parse_ops(ops: Mapping[str, Any]) -> dict[str, OpStats]:
@@ -130,122 +122,6 @@ def _parse_ops(ops: Mapping[str, Any]) -> dict[str, OpStats]:
             except (TypeError, ValueError):
                 stats.digest = None
         out[stats.op] = stats
-    return out
-
-
-def _looks_like_bench_campaign(data: Mapping[str, Any]) -> bool:
-    return any(
-        isinstance(arm, Mapping) and isinstance(arm.get("suggest"), Mapping)
-        for arm in data.values()
-    )
-
-
-def _parse_bench_campaign(data: Mapping[str, Any]) -> dict[str, OpStats]:
-    """BENCH_campaign.json: per-arm suggest/tell percentile blocks (ms).
-
-    ``suggest_fit`` (fit-bearing asks) and ``suggest_tail`` (last-window
-    suggest latency of the flat-tail arm) are optional blocks newer
-    benchmark runs add; absent blocks are skipped so old baselines keep
-    diffing.
-    """
-    out: dict[str, OpStats] = {}
-    for arm, payload in data.items():
-        if not isinstance(payload, Mapping):
-            continue
-        for phase in ("suggest", "suggest_fit", "suggest_tail", "tell"):
-            block = payload.get(phase)
-            if not isinstance(block, Mapping):
-                continue
-            quantiles = {
-                key: float(block[f"{key}_ms"]) / 1e3
-                for key in _QUANTILE_KEYS
-                if isinstance(block.get(f"{key}_ms"), (int, float))
-            }
-            if not quantiles:
-                continue
-            stats = OpStats(
-                op=f"{arm}.{phase}",
-                count=float(payload.get("trials", 0.0)),
-                mean=quantiles.get("p50", math.nan),
-                quantiles=quantiles,
-            )
-            out[stats.op] = stats
-        trials = payload.get("trials")
-        wall = payload.get("wall_s")
-        if isinstance(trials, (int, float)) and isinstance(wall, (int, float)) and trials:
-            out[f"{arm}.trial"] = OpStats(
-                op=f"{arm}.trial", count=float(trials), mean=float(wall) / float(trials)
-            )
-    return out
-
-
-def _looks_like_bench_hybrid(data: Mapping[str, Any]) -> bool:
-    return isinstance(data.get("hybrid"), Mapping) and "speedup" in data
-
-
-def _parse_bench_hybrid(data: Mapping[str, Any]) -> dict[str, OpStats]:
-    """BENCH_hybrid.json: per-unit costs that survive the smoke/full scale gap.
-
-    The committed baseline is a full-day run while CI re-measures a smoke
-    (compressed-day) run, so only *per-unit* latencies are comparable:
-    the cost of one DES calibration window and the pure-DES cost per
-    completed request. Whole-run wall times scale with duration and are
-    deliberately not emitted.
-    """
-    out: dict[str, OpStats] = {}
-    hybrid = data.get("hybrid")
-    if isinstance(hybrid, Mapping):
-        wall = hybrid.get("wall_s")
-        windows = hybrid.get("des_epochs")
-        if (
-            isinstance(wall, (int, float))
-            and isinstance(windows, (int, float))
-            and windows
-        ):
-            op = "hybrid.window"
-            out[op] = OpStats(op=op, count=float(windows), mean=float(wall) / float(windows))
-    des = data.get("des")
-    if isinstance(des, Mapping):
-        wall = des.get("wall_s")
-        completed = des.get("completed")
-        if (
-            isinstance(wall, (int, float))
-            and isinstance(completed, (int, float))
-            and completed
-        ):
-            op = "des.request"
-            out[op] = OpStats(op=op, count=float(completed), mean=float(wall) / float(completed))
-    return out
-
-
-def _looks_like_bench_eval(data: Mapping[str, Any]) -> bool:
-    campaign = data.get("campaign")
-    des = data.get("des")
-    return isinstance(campaign, Mapping) or isinstance(des, Mapping)
-
-
-def _parse_bench_eval(data: Mapping[str, Any]) -> dict[str, OpStats]:
-    """BENCH_eval.json: throughputs folded into mean per-unit latencies."""
-    out: dict[str, OpStats] = {}
-    campaign = data.get("campaign")
-    if isinstance(campaign, Mapping):
-        for arm, payload in campaign.items():
-            if not isinstance(payload, Mapping):
-                continue
-            trials = payload.get("trials")
-            wall = payload.get("wall_s")
-            if isinstance(trials, (int, float)) and isinstance(wall, (int, float)) and trials:
-                op = f"campaign.{arm}.trial"
-                out[op] = OpStats(op=op, count=float(trials), mean=float(wall) / float(trials))
-    des = data.get("des")
-    if isinstance(des, Mapping):
-        for arm, payload in des.items():
-            if not isinstance(payload, Mapping):
-                continue
-            eps = payload.get("events_per_sec")
-            if isinstance(eps, (int, float)) and eps > 0:
-                op = f"des.{arm}.event"
-                out[op] = OpStats(op=op, count=float(eps), mean=1.0 / float(eps))
     return out
 
 

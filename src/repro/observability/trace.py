@@ -11,17 +11,15 @@ clocks:
   :class:`~repro.simcore.core.Environment` (pass ``sim_clock=env_now``
   callables), so DES work can be attributed in virtual time too.
 
-The default tracer is a process-global :class:`NoopTracer` whose ``span()``
-returns a shared null context manager: instrumented code pays one attribute
-check and no allocation when tracing is off, keeping the tier-1 benchmarks
-untouched. Enable tracing explicitly::
+Instrumented code does not hold a tracer: it publishes through the
+process's telemetry context (:mod:`repro.observability.telemetry`), whose
+live variant owns one tracer and whose inert default records nothing::
 
-    from repro.observability import RecordingTracer, set_tracer
+    from repro import observability
 
-    tracer = RecordingTracer()
-    set_tracer(tracer)          # or: with tracing() as tracer: ...
+    context = observability.enable()
     ... run the campaign ...
-    tracer.export_jsonl(run_dir / "spans.jsonl")
+    context.tracer.export_jsonl(run_dir / "spans.jsonl")
 
 Spans nest per-thread (a thread-local stack, not contextvars, so worker
 threads of a :class:`~concurrent.futures.ThreadPoolExecutor` start clean);
@@ -40,12 +38,7 @@ from typing import Any, Callable, Iterator, Optional
 
 __all__ = [
     "Span",
-    "Tracer",
-    "NoopTracer",
     "RecordingTracer",
-    "get_tracer",
-    "set_tracer",
-    "tracing",
     "load_spans",
 ]
 
@@ -114,93 +107,8 @@ class Span:
         )
 
 
-class _NoopSpan:
-    """Absorbs every span operation; a process-wide singleton."""
-
-    __slots__ = ()
-
-    name = "noop"
-    span_id = -1
-    parent_id = None
-    attributes: dict[str, Any] = {}
-    status = "ok"
-    duration_s = 0.0
-
-    def set(self, key: str, value: Any) -> "_NoopSpan":
-        return self
-
-
-class _NoopSpanContext:
-    __slots__ = ()
-
-    def __enter__(self) -> _NoopSpan:
-        return NOOP_SPAN
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-NOOP_SPAN = _NoopSpan()
-_NOOP_CONTEXT = _NoopSpanContext()
-
-
-class Tracer:
-    """Tracer interface. The base class is inert (see :class:`NoopTracer`)."""
-
-    #: instrumentation sites branch on this to skip work entirely.
-    enabled: bool = False
-
-    def span(
-        self,
-        name: str,
-        *,
-        parent: Any = None,
-        sim_clock: SimClock | None = None,
-        **attributes: Any,
-    ) -> Any:
-        """Context manager timing one operation."""
-        return _NOOP_CONTEXT
-
-    def start_span(
-        self,
-        name: str,
-        *,
-        parent: Any = None,
-        start: float | None = None,
-        sim_clock: SimClock | None = None,
-        **attributes: Any,
-    ) -> Any:
-        """Begin a span manually (for cross-thread lifecycles)."""
-        return NOOP_SPAN
-
-    def end_span(
-        self, span: Any, *, error: str | None = None, end: float | None = None
-    ) -> None:
-        """Finish a span started with :meth:`start_span`."""
-
-    def current(self) -> Any:
-        """Innermost open span on this thread, or ``None``."""
-        return None
-
-    def clock(self) -> float:
-        """Seconds since the tracer's epoch."""
-        return 0.0
-
-    def subscribe(self, callback: Callable[[Any], None]) -> None:
-        """Register a live span consumer (no-op on the inert tracer)."""
-
-    def unsubscribe(self, callback: Callable[[Any], None]) -> None:
-        """Remove a live span consumer (no-op on the inert tracer)."""
-
-
-class NoopTracer(Tracer):
-    """The default: records nothing, allocates nothing."""
-
-
-class RecordingTracer(Tracer):
+class RecordingTracer:
     """Collects finished spans in memory; thread-safe."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -419,32 +327,3 @@ def load_spans(path: str | Path) -> list[Span]:
         if line:
             spans.append(Span.from_dict(json.loads(line)))
     return spans
-
-
-_default_tracer: Tracer = NoopTracer()
-_default_lock = threading.Lock()
-
-
-def get_tracer() -> Tracer:
-    """The process-global tracer (a no-op unless explicitly enabled)."""
-    return _default_tracer
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer:
-    """Install ``tracer`` globally (``None`` restores the no-op); returns it."""
-    global _default_tracer
-    with _default_lock:
-        _default_tracer = tracer if tracer is not None else NoopTracer()
-        return _default_tracer
-
-
-@contextmanager
-def tracing(tracer: RecordingTracer | None = None) -> Iterator[RecordingTracer]:
-    """Scoped tracing: install a recording tracer, restore the old on exit."""
-    tracer = tracer or RecordingTracer()
-    previous = get_tracer()
-    set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)

@@ -30,18 +30,16 @@ import math
 import threading
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping
 
 from repro.errors import ValidationError
 from repro.observability.digest import LatencyDigest
-from repro.observability.metrics import get_registry
+from repro.observability.telemetry import telemetry
 
 __all__ = [
     "WatchdogConfig",
     "Alert",
     "CampaignWatchdog",
-    "get_watchdog",
-    "set_watchdog",
     "load_alerts",
     "ALERTS_FILE",
 ]
@@ -178,8 +176,8 @@ class CampaignWatchdog:
     # -- lifecycle ---------------------------------------------------------------
 
     def attach(self, tracer: Any) -> None:
-        """Subscribe to a tracer's finished-span stream."""
-        if getattr(tracer, "enabled", False):
+        """Subscribe to a tracer's finished-span stream (``None``: no-op)."""
+        if tracer is not None:
             tracer.subscribe(self.on_span)
             self._tracer = tracer
 
@@ -340,8 +338,8 @@ class CampaignWatchdog:
 
     def poll(self, registry: Any = None, *, time_s: float = 0.0) -> None:
         """Check registry-side signals (called live on every trial span)."""
-        registry = registry if registry is not None else get_registry()
-        if not getattr(registry, "enabled", False):
+        registry = registry if registry is not None else telemetry().registry
+        if registry is None:
             return
         counter = registry.counter(
             "repro_faults_injected_total",
@@ -529,20 +527,3 @@ def load_alerts(path: str | Path) -> list[Alert]:
         if line:
             out.append(Alert.from_dict(json.loads(line)))
     return out
-
-
-_watchdog: Optional[CampaignWatchdog] = None
-_watchdog_lock = threading.Lock()
-
-
-def get_watchdog() -> Optional[CampaignWatchdog]:
-    """The process-global watchdog, or ``None`` when no campaign armed one."""
-    return _watchdog
-
-
-def set_watchdog(watchdog: Optional[CampaignWatchdog]) -> Optional[CampaignWatchdog]:
-    """Install ``watchdog`` globally (``None`` clears it); returns it."""
-    global _watchdog
-    with _watchdog_lock:
-        _watchdog = watchdog
-        return _watchdog

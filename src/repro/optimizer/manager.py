@@ -21,8 +21,7 @@ from typing import Any, Callable, Mapping
 
 from repro import observability
 from repro.errors import OptimizationError
-from repro.observability.metrics import get_registry
-from repro.observability.trace import get_tracer
+from repro.observability.telemetry import measure, telemetry
 from repro.optimizer.config import OptimizerConf
 from repro.optimizer.optimization import Optimization
 from repro.optimizer.summary import ReproducibilitySummary
@@ -171,16 +170,13 @@ class OptimizationManager:
         Phase III summary, exported as ``alerts.jsonl``, and checkpointed so
         a resumed campaign does not re-fire them.
         """
-        from repro.observability.watchdog import set_watchdog
-
         watchdog = self.conf.build_watchdog()
         serving = self.conf.serve is not None
         observing = self.conf.observability or watchdog is not None or serving
-        if observing:
-            observability.enable()
+        context = observability.enable() if observing else telemetry()
         if watchdog is not None:
-            set_watchdog(watchdog)
-            watchdog.attach(get_tracer())
+            context.watchdog = watchdog
+            watchdog.attach(context.tracer)
             archive = self.optimization.archive
             # Resume: restore fired-alert state, then rebuild the straggler /
             # objective baselines from the trials the searcher will replay.
@@ -188,40 +184,32 @@ class OptimizationManager:
             watchdog.seed_from_trials(archive.load_checkpoint())
         monitor = None
         if serving:
-            # After set_watchdog: the monitor subscribes to whatever
-            # tracer/watchdog are installed when it starts.
-            from repro.observability.live import (
-                LiveMonitor,
-                StatusBoard,
-                set_status_board,
-            )
+            # After the watchdog is armed: the monitor subscribes to the
+            # context's tracer and watchdog when it starts.
+            from repro.observability.live import LiveMonitor, StatusBoard
 
             mode = (self.conf.objectives[0].get("mode", "min") or "min").lower()
-            set_status_board(
-                StatusBoard(
-                    name=self.conf.name,
-                    num_samples=self.conf.num_samples,
-                    mode=mode,
-                )
+            context.board = StatusBoard(
+                name=self.conf.name, num_samples=self.conf.num_samples, mode=mode
             )
             monitor = LiveMonitor.from_spec(
                 self.conf.serve, run_dir=self.run_dir, name=self.conf.name
             )
             monitor.start()
+        board = context.board
         try:
-            from repro.observability.live import get_status_board
-
-            board = get_status_board()
-            tracer = get_tracer()
-            board.set_phase("optimize")
-            with tracer.span("phase:optimize"):
+            if board is not None:
+                board.set_phase("optimize")
+            with measure("phase:optimize"):
                 summary = self.optimization.run()
             outcome = OptimizationOutcome(summary=summary)
             if self.conf.repeat > 0:
-                board.set_phase("validate")
-                with tracer.span("phase:validate", repeat=self.conf.repeat):
+                if board is not None:
+                    board.set_phase("validate")
+                with measure("phase:validate", repeat=self.conf.repeat):
                     outcome = self.validate(summary.best_configuration, outcome=outcome)
-            board.set_phase("finished")
+            if board is not None:
+                board.set_phase("finished")
             return outcome
         finally:
             if observing:
@@ -231,13 +219,9 @@ class OptimizationManager:
                     self.optimization.export_observability()
                 finally:
                     if monitor is not None:
-                        from repro.observability.live import set_status_board
-
                         monitor.stop()
-                        set_status_board(None)
                     if watchdog is not None:
                         watchdog.detach()
-                        set_watchdog(None)
                     observability.disable()
 
     def validate(
@@ -258,15 +242,14 @@ class OptimizationManager:
         kwargs: dict[str, Any] = {}
         if self.conf.duration is not None:
             kwargs["duration"] = self.conf.duration
-        tracer = get_tracer()
-        registry = get_registry()
+        registry = telemetry().registry
         start = time.perf_counter()
         for repetition in range(self.conf.repeat + 1):
-            with tracer.span(f"validation:rep{repetition}", seed=base_seed + 1000 + repetition):
+            with measure(f"validation:rep{repetition}", seed=base_seed + 1000 + repetition):
                 metrics = self.optimization.launch(
                     dict(configuration), seed=base_seed + 1000 + repetition, **kwargs
                 )
-            if registry.enabled:
+            if registry is not None:
                 registry.counter(
                     "repro_validation_runs_total", "repeat-validation runs of the best config"
                 ).inc()

@@ -25,9 +25,7 @@ from typing import Any, Mapping
 from repro.errors import OptimizationError
 from repro.experiments import EvaluationRecord, ExperimentArchive, ExperimentManifest
 from repro.observability import export as export_observability_artifacts
-from repro.observability.digest import get_perf
-from repro.observability.metrics import get_registry
-from repro.observability.trace import Tracer, get_tracer
+from repro.observability.telemetry import measure, telemetry
 from repro.optimizer.problem import OptimizationProblem
 from repro.optimizer.summary import ReproducibilitySummary
 from repro.search.algos import ConcurrencyLimiter, SearchAlgorithm, SurrogateSearch
@@ -52,14 +50,11 @@ class Optimization(abc.ABC):
         workdir: str | Path = ".repro-optimizations",
         seed: int | None = None,
         description: str = "",
-        tracer: Tracer | None = None,
         resume_dir: str | Path | None = None,
     ) -> None:
         self.problem = problem
         self.name = name
         self.seed = seed
-        #: explicit tracer, or ``None`` to follow the process-global one.
-        self._tracer = tracer
         if resume_dir is not None:
             # Re-open the interrupted campaign's archive: keeps the manifest
             # and the evaluation counter, so new evaluations continue the
@@ -77,10 +72,6 @@ class Optimization(abc.ABC):
             self.archive = ExperimentArchive(workdir, manifest)
         self._lock = threading.Lock()
         self._records: list[EvaluationRecord] = []
-
-    @property
-    def tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else get_tracer()
 
     # -- the optimization cycle hooks (Listing 1 lines 28-35) -------------------------
 
@@ -128,18 +119,16 @@ class Optimization(abc.ABC):
         and reconfigure steps, each traced as its own span (the fourth step,
         *optimize*, is the runner's suggest/tell pair).
         """
-        tracer = self.tracer
-        perf = get_perf()
         start = time.perf_counter()
-        with tracer.span("cycle:deploy"), perf.timed("deploy"):
+        with measure("deploy"):
             directory = self.prepare()
-        with tracer.span("cycle:execute"):
+        with measure("cycle:execute"):
             metrics = dict(self.launch(config))
         metrics[SCALAR_METRIC] = self.problem.scalarize(metrics)
-        with tracer.span("cycle:reconfigure"), perf.timed("reconfigure"):
+        with measure("reconfigure"):
             self.finalize(directory, config, metrics)
-        registry = get_registry()
-        if registry.enabled:
+        registry = telemetry().registry
+        if registry is not None:
             registry.counter(
                 "repro_evaluations_total", "model evaluations run"
             ).inc()
@@ -228,15 +217,13 @@ class Optimization(abc.ABC):
             # When a live watchdog is armed, its control state rides along in
             # checkpoint.json so --resume does not re-fire old alerts; the
             # searcher state keeps the refit cadence across resumes.
-            from repro.observability.watchdog import get_watchdog
-
-            watchdog = get_watchdog()
+            watchdog = telemetry().watchdog
             state = watchdog.state_dict() if watchdog is not None else None
             return self.archive.store_checkpoint(
                 records, watchdog_state=state, searcher_state=searcher_state
             )
 
-        tracer = self.tracer
+        tracing = telemetry().enabled
         start = time.perf_counter()
         runner = TrialRunner(
             self.run_objective,
@@ -248,7 +235,6 @@ class Optimization(abc.ABC):
             executor=executor,
             max_workers=max_workers,
             name=self.name,
-            tracer=tracer,
             max_retries=max_retries,
             retry_backoff_s=retry_backoff_s,
             trial_timeout_s=trial_timeout_s,
@@ -260,9 +246,9 @@ class Optimization(abc.ABC):
             backend_options=backend_options,
             # With tracing on, also drop the one-line-per-trial log next to
             # the other artifacts so the run report can render a trial table.
-            log_dir=str(self.archive.root) if tracer.enabled else None,
+            log_dir=str(self.archive.root) if tracing else None,
         )
-        with tracer.span(f"experiment:{self.name}", executor=executor):
+        with measure(f"experiment:{self.name}", executor=executor):
             analysis = runner.run()
         wall = time.perf_counter() - start
         summary = self.summarize(
@@ -271,14 +257,12 @@ class Optimization(abc.ABC):
             sampling_info=sampling_info or {},
             wall_clock_s=wall,
         )
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge("repro_best_value", "incumbent objective value").set(
+        context = telemetry()
+        if context.enabled:
+            context.registry.gauge("repro_best_value", "incumbent objective value").set(
                 summary.best_value
             )
-        from repro.observability.watchdog import get_watchdog
-
-        watchdog = get_watchdog()
+        watchdog = context.watchdog
         if watchdog is not None:
             summary.alerts = watchdog.summary()
         with self._lock:

@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import TrialError, ValidationError
+from repro.observability.telemetry import telemetry
 from repro.search.execution import execute_trial, pool_init
 from repro.search.store import DEFAULT_LEASE_S, TrialStore
 from repro.search.trial import Trial
@@ -177,7 +178,7 @@ class ProcessBackend(ExecutionBackend):
         self._pool = ProcessPoolExecutor(
             max_workers=self.runner.max_workers,
             initializer=pool_init,
-            initargs=(self.runner.trainable, self.runner._observing(), self.runner.name),
+            initargs=(self.runner.trainable, telemetry().enabled, self.runner.name),
         )
 
     def submit(self, trial: Trial) -> Future:
@@ -244,7 +245,7 @@ class StoreBackend(ExecutionBackend):
             retry_backoff_s=runner.retry_backoff_s,
             trial_timeout_s=runner.trial_timeout_s,
             lease_s=self.lease_s,
-            telemetry=runner._observing(),
+            telemetry=telemetry().enabled,
             # Each campaign session starts a fresh ledger: resume replays
             # finished trials through the checkpoint layer, and a stale
             # ``close`` event must not poison the new session's workers.

@@ -31,12 +31,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
 from repro.errors import ValidationError
-from repro.observability.metrics import get_registry
+from repro.observability.telemetry import measure, telemetry
 from repro.utils.serialization import canonical_config, config_hash
 
 __all__ = ["EvalCache"]
@@ -86,16 +85,8 @@ class EvalCache:
         ``min_replicates`` stored results; the first stored replicate is
         returned, so a deterministic objective replays byte-identically.
         """
-        from repro.observability.digest import get_perf
-
-        perf = get_perf()
-        if not perf.enabled:
+        with measure("evalcache_lookup"):
             return self._lookup(config)
-        start = time.perf_counter()
-        try:
-            return self._lookup(config)
-        finally:
-            perf.record("evalcache_lookup", time.perf_counter() - start)
 
     def _lookup(self, config: Mapping[str, Any]) -> Optional[dict[str, float]]:
         key = self.key(config)
@@ -187,8 +178,8 @@ class EvalCache:
     # -- reporting --------------------------------------------------------------------
 
     def _count(self, outcome: str) -> None:
-        registry = get_registry()
-        if registry.enabled:
+        registry = telemetry().registry
+        if registry is not None:
             registry.counter(
                 "repro_eval_cache_lookups_total",
                 "evaluation cache lookups by outcome",

@@ -13,7 +13,8 @@ semantics are defined once:
   both publishing the attempt index through :mod:`repro.faults.context`;
 - :func:`execute_trial` — the timed run: queue wait, the attempt loop, the
   evaluate measurement and (in a fabric worker) the telemetry drain,
-  returning the structured outcome payload;
+  returning the structured outcome payload, from which the parent's
+  runner publishes the ``queue_wait`` and ``evaluate`` records;
 - :func:`pool_init` — the pool initializer that registers the trainable
   once per worker and joins the telemetry fabric.
 
@@ -33,14 +34,12 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from typing import Any, Callable, Optional
 
 from repro.errors import TrialError
 from repro.faults.context import injection_occurred, reset_injection_flag, set_current_attempt
 from repro.observability import fabric
-from repro.observability.digest import get_perf
-from repro.observability.trace import get_tracer
+from repro.observability.telemetry import INERT, measure
 from repro.search.trial import Reporter, StopTrial
 
 __all__ = [
@@ -211,28 +210,23 @@ def execute_trial(
 
     ``submitted_unix`` (the wall clock at submission, the only timeline
     processes share) adds a ``queue_wait_s`` measurement; the sync
-    backend passes none, as it has no queue. The ``queue_wait`` and
-    ``evaluate`` latency samples go to this process's perf recorder — the
-    parent's for in-process backends, the worker-local one (shipped back
-    in ``telemetry``, with an ``evaluate`` span) in a fabric worker.
+    backend passes none, as it has no queue. Both durations travel in the
+    payload and the parent publishes them. In a fabric worker the attempts
+    run inside an ``evaluate`` span, so the trainable's spans ship back in
+    ``telemetry`` nested under one root.
     """
     if trainable is None:
         trainable = _WORKER_TRAINABLE
         if trainable is None:  # pragma: no cover - defensive
             return {"ok": False, "error": "no trainable registered in worker", "retries": 0, "timeouts": 0, "tainted": True}
-    perf = get_perf()
     queue_wait = None
     if submitted_unix is not None:
         queue_wait = max(0.0, time.time() - float(submitted_unix))
-        perf.record("queue_wait", queue_wait)
     in_worker = fabric.worker_active()
-    span = get_tracer().span("evaluate", trial_id=trial_id) if in_worker else nullcontext()
     start = time.perf_counter()
-    with span:
+    with measure("worker_evaluate", trial_id=trial_id) if in_worker else INERT:
         outcome = process_attempts(trainable, config, max_retries, backoff_s, timeout_s, reporter)
-    evaluate_s = time.perf_counter() - start
-    perf.record("evaluate", evaluate_s)
-    outcome["evaluate_s"] = evaluate_s
+    outcome["evaluate_s"] = time.perf_counter() - start
     if queue_wait is not None:
         outcome["queue_wait_s"] = queue_wait
     if in_worker:

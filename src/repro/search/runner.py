@@ -46,10 +46,8 @@ from typing import Any, Callable, Optional
 from repro.bayesopt.space import Space
 from repro.errors import TrialError, ValidationError
 from repro.observability import fabric
-from repro.observability.digest import get_perf
-from repro.observability.metrics import get_registry
 from repro.observability.profile import CostBreakdown, aggregate_costs
-from repro.observability.trace import Tracer, get_tracer
+from repro.observability.telemetry import record, telemetry
 from repro.search.algos import SearchAlgorithm, SurrogateSearch
 from repro.search.backends import backend_class, create_backend
 from repro.search.evalcache import EvalCache
@@ -154,7 +152,6 @@ class TrialRunner:
         name: str = "experiment",
         raise_on_failed_trial: bool = False,
         log_dir: str | None = None,
-        tracer: Tracer | None = None,
         max_retries: int = 0,
         retry_backoff_s: float = 0.0,
         trial_timeout_s: float | None = None,
@@ -198,9 +195,8 @@ class TrialRunner:
         self.retry_backoff_s = float(retry_backoff_s)
         self.trial_timeout_s = None if trial_timeout_s is None else float(trial_timeout_s)
         self.backend_options = dict(backend_options or {})
-        self._tracer = tracer if tracer is not None else get_tracer()
-        #: the live status board (resolved lazily in run(); inert by default,
-        #: so the hooks cost one attribute check when nothing serves).
+        #: the live status board of the telemetry context (resolved in
+        #: run(); ``None`` unless the campaign serves).
         self._board: Any = None
         #: open per-trial spans, for cross-thread parenting (trial_id → Span).
         self._trial_spans: dict[str, Any] = {}
@@ -250,70 +246,50 @@ class TrialRunner:
             return True
         return len(positional) >= 2
 
-    def _observing(self) -> bool:
-        """Whether any telemetry consumer is active (workers should join)."""
-        return bool(self._tracer.enabled or get_registry().enabled or get_perf().enabled)
-
     # -- observability hooks ---------------------------------------------------------
 
-    def _suggest(self, trial_id: str) -> tuple[Optional[dict[str, Any]], float]:
-        """Time one ``suggest`` call (acquisition + surrogate read)."""
-        fits_before = self.search_alg.fit_count()
-        start = time.perf_counter()
-        config = self.search_alg.suggest(trial_id)
-        elapsed = time.perf_counter() - start
-        if config is not None:
-            self._record_suggest(elapsed, 1, fits_before)
-        return config, elapsed
+    def _suggest(self, trial_ids: list[str]) -> tuple[list[dict[str, Any]], float, bool]:
+        """Time one (batched) suggest.
 
-    def _suggest_batch(self, trial_ids: list[str]) -> tuple[list[dict[str, Any]], float]:
-        """Time one batched suggest; returns configs and the per-config cost."""
-        fits_before = self.search_alg.fit_count()
-        start = time.perf_counter()
-        configs = self.search_alg.suggest_batch(trial_ids)
-        elapsed = time.perf_counter() - start
-        if configs:
-            self._record_suggest(elapsed, len(configs), fits_before)
-        return configs, elapsed / len(configs) if configs else elapsed
-
-    def _record_suggest(self, elapsed: float, n_configs: int, fits_before: int) -> None:
-        """Split suggest latency into fit-bearing and amortized series.
-
-        One digest mixing ~0.5 µs prefetch hits with fit-bearing asks makes
-        every percentile meaningless, so the two populations are recorded
-        apart: ``suggest_fit`` holds the *whole* elapsed time of an ask that
-        blocked on an inline surrogate fit; ``suggest`` holds the
-        per-candidate cost of everything else (prefetch pops, model reads,
-        cold design draws — the steady-state hot path).
+        Returns the configs, the per-config cost and whether the ask
+        blocked on an inline surrogate fit: those trials record under
+        ``suggest_fit``, so one digest never mixes ~0.5 µs prefetch hits
+        with fit-bearing asks.
         """
-        perf = get_perf()
-        if not perf.enabled:
-            return
-        if self.search_alg.fit_count() > fits_before:
-            perf.record("suggest_fit", elapsed)
+        fits_before = self.search_alg.fit_count()
+        start = time.perf_counter()
+        if len(trial_ids) == 1:
+            config = self.search_alg.suggest(trial_ids[0])
+            configs = [] if config is None else [config]
         else:
-            per_candidate = elapsed / n_configs
-            for _ in range(n_configs):
-                perf.record("suggest", per_candidate)
+            configs = self.search_alg.suggest_batch(trial_ids)
+        elapsed = time.perf_counter() - start
+        fit = self.search_alg.fit_count() > fits_before
+        return configs, elapsed / len(configs) if configs else elapsed, fit
 
-    def _open_trial(self, trial: Trial, suggest_s: float) -> None:
+    def _open_trial(self, trial: Trial, suggest_s: float, fit: bool) -> None:
         """Record the suggest cost; open the trial span if tracing."""
         trial.cost["suggest_s"] = suggest_s
-        tracer = self._tracer
-        if not tracer.enabled:
+        context = telemetry()
+        if not context.enabled:
             return
-        now = tracer.clock()
+        tracer = context.tracer
         span = tracer.start_span(
-            f"trial:{trial.trial_id}", start=now - suggest_s, trial_id=trial.trial_id
+            f"trial:{trial.trial_id}",
+            start=tracer.clock() - suggest_s,
+            trial_id=trial.trial_id,
         )
         with self._lock:
             self._trial_spans[trial.trial_id] = span
-        child = tracer.start_span("suggest", parent=span, start=now - suggest_s)
-        tracer.end_span(child)
+        context.record("suggest_fit" if fit else "suggest", suggest_s, parent=span)
+
+    def _trial_span(self, trial: Trial) -> Any:
+        with self._lock:
+            return self._trial_spans.get(trial.trial_id)
 
     def _close_trial(self, trial: Trial) -> None:
-        tracer = self._tracer
-        if not tracer.enabled:
+        context = telemetry()
+        if not context.enabled:
             return
         with self._lock:
             span = self._trial_spans.pop(trial.trial_id, None)
@@ -324,25 +300,7 @@ class TrialRunner:
             for key in ("retries", "timeouts"):
                 if trial.cost.get(key):
                     span.set(key, int(trial.cost[key]))
-            tracer.end_span(span, error=trial.error)
-
-    def _record_execute_span(self, trial: Trial, duration_s: float) -> None:
-        """Emit the execute child span, backdated by the measured duration."""
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        with self._lock:
-            parent = self._trial_spans.get(trial.trial_id)
-        # Children finish (and stream to watchdog subscribers) before their
-        # trial parent, so each carries the trial identity itself.
-        span = tracer.start_span(
-            "execute",
-            parent=parent,
-            start=tracer.clock() - duration_s,
-            trial_id=trial.trial_id,
-        )
-        span.set("status", trial.status.value)
-        tracer.end_span(span, error=trial.error)
+            context.tracer.end_span(span, error=trial.error)
 
     # -- single-trial execution -----------------------------------------------------
 
@@ -360,19 +318,6 @@ class TrialRunner:
             self._on_report,
             self._lock,
         )
-
-    def _count_fault_metrics(self, retries: int, timeouts: int) -> None:
-        registry = get_registry()
-        if not registry.enabled or not (retries or timeouts):
-            return
-        if retries:
-            registry.counter(
-                "repro_trial_retries_total", "trial attempts retried after failure or timeout"
-            ).inc(retries)
-        if timeouts:
-            registry.counter(
-                "repro_trial_timeouts_total", "trial attempts that hit the per-trial timeout"
-            ).inc(timeouts)
 
     # -- evaluation cache -------------------------------------------------------------
 
@@ -393,7 +338,13 @@ class TrialRunner:
         trial.runtime_s = 0.0
         trial.cost["evaluate_s"] = 0.0
         trial.cost["cache_hit"] = 1.0
-        self._record_execute_span(trial, 0.0)
+        record(
+            "execute",
+            0.0,
+            parent=self._trial_span(trial),
+            trial_id=trial.trial_id,
+            status=trial.status.value,
+        )
         return True
 
     def _cache_store(self, trial: Trial) -> None:
@@ -441,23 +392,17 @@ class TrialRunner:
                 start = time.perf_counter()
                 self.search_alg.on_trial_complete(trial.trial_id, trial.config, value)
                 trial.cost["tell_s"] = time.perf_counter() - start
-                get_perf().record("tell", trial.cost["tell_s"])
-                tracer = self._tracer
-                if tracer.enabled:
-                    with self._lock:
-                        parent = self._trial_spans.get(trial.trial_id)
-                    span = tracer.start_span(
-                        "tell",
-                        parent=parent,
-                        start=tracer.clock() - trial.cost["tell_s"],
-                        trial_id=trial.trial_id,
-                    )
-                    tracer.end_span(span)
+                record(
+                    "tell",
+                    trial.cost["tell_s"],
+                    parent=self._trial_span(trial),
+                    trial_id=trial.trial_id,
+                )
         finally:
             self._close_trial(trial)
             self._log_trial(trial)
             self._record_finished(trial)
-            if self._board is not None and self._board.enabled:
+            if self._board is not None:
                 value = trial.result.get(self.metric) if trial.result else None
                 self._board.trial_finished(
                     trial.trial_id,
@@ -518,9 +463,7 @@ class TrialRunner:
     # -- main loop --------------------------------------------------------------------
 
     def run(self) -> ExperimentAnalysis:
-        from repro.observability.live import get_status_board
-
-        self._board = get_status_board()
+        self._board = telemetry().board
         start = time.perf_counter()
         trials: list[Trial] = []
         created = self._replay_resumed(trials)
@@ -538,18 +481,14 @@ class TrialRunner:
                     if want <= 0:
                         break
                     ids = [f"{self.name}_{created + k:05d}" for k in range(want)]
-                    if want == 1:
-                        config, suggest_s = self._suggest(ids[0])
-                        configs = [] if config is None else [config]
-                    else:
-                        configs, suggest_s = self._suggest_batch(ids)
+                    configs, suggest_s, fit = self._suggest(ids)
                     if not configs:
                         if not futures:
                             exhausted = True  # nothing pending → truly done
                         break
                     for config in configs:
                         trial = Trial(trial_id=f"{self.name}_{created:05d}", config=config)
-                        self._open_trial(trial, suggest_s)
+                        self._open_trial(trial, suggest_s, fit)
                         trials.append(trial)
                         created += 1
                         if self._cache_lookup(trial):
@@ -557,7 +496,7 @@ class TrialRunner:
                             # slot; tell the searcher right away.
                             self._after_trial(trial)
                         else:
-                            if self._board is not None and self._board.enabled:
+                            if self._board is not None:
                                 self._board.trial_started(trial.trial_id)
                             trial.status = TrialStatus.RUNNING
                             trial._start = time.perf_counter()
@@ -604,8 +543,9 @@ class TrialRunner:
         :func:`~repro.search.execution.execute_trial` on every executor.
         It sets the status, the retry/timeout/taint markers, the cost
         split (clamped to the parent-observed submit→collect wall, so clock
-        skew cannot inflate it), one ``execute`` span and, when present,
-        one ``queue-wait`` span, and merges fabric telemetry.
+        skew cannot inflate it), publishes the ``evaluate`` record and,
+        when present, the ``queue_wait`` record, and merges fabric
+        telemetry.
         """
         if not isinstance(payload, dict):
             payload = {"ok": False, "error": "worker recorded no structured outcome"}
@@ -622,7 +562,16 @@ class TrialRunner:
             # the count is provenance (and the taint marker above keeps
             # the measurement out of the evaluation cache).
             trial.cost["reclaimed"] = float(payload["reclaimed"])
-        self._count_fault_metrics(retries, timeouts)
+        context = telemetry()
+        if context.enabled:
+            if retries:
+                context.registry.counter(
+                    "repro_trial_retries_total", "trial attempts retried after failure or timeout"
+                ).inc(retries)
+            if timeouts:
+                context.registry.counter(
+                    "repro_trial_timeouts_total", "trial attempts that hit the per-trial timeout"
+                ).inc(timeouts)
         if "intermediate" in payload:
             with self._lock:
                 trial.intermediate = list(payload["intermediate"])
@@ -645,40 +594,32 @@ class TrialRunner:
         trial.runtime_s = wall
         evaluate_s = min(max(float(payload.get("evaluate_s", wall)), 0.0), wall)
         trial.cost["evaluate_s"] = evaluate_s
+        parent = self._trial_span(trial)
         if "queue_wait_s" in payload:
             queue_wait_s = min(
                 max(float(payload["queue_wait_s"]), 0.0), max(wall - evaluate_s, 0.0)
             )
             trial.cost["queue_wait_s"] = queue_wait_s
-            self._record_queue_wait_span(trial, wall, queue_wait_s)
-        self._record_execute_span(trial, evaluate_s)
-        telemetry = payload.get("telemetry")
-        if telemetry is not None:
-            with self._lock:
-                trial_span = self._trial_spans.get(trial.trial_id)
-            fabric.merge_payload(
-                telemetry, parent=trial_span, attributes={"trial_id": trial.trial_id}
+            # The wait opened the submit→collect wall.
+            context.record(
+                "queue_wait", queue_wait_s, parent=parent, ago=wall, trial_id=trial.trial_id
             )
-
-    def _record_queue_wait_span(
-        self, trial: Trial, wall_s: float, queue_wait_s: float
-    ) -> None:
-        """Backdated queue-wait span for a worker-measured queue wait.
-
-        The wait happened at the *start* of the submit→collect wall, so the
-        span is stamped ``[now - wall, now - wall + wait]`` via the explicit
-        ``end=`` override.
-        """
-        tracer = self._tracer
-        if not tracer.enabled:
-            return
-        with self._lock:
-            parent = self._trial_spans.get(trial.trial_id)
-        now = tracer.clock()
-        span = tracer.start_span(
-            "queue-wait", parent=parent, start=now - wall_s, trial_id=trial.trial_id
+        # A payload without evaluate_s never ran the trainable: its execute
+        # span covers the wall but adds no evaluate sample. Children finish
+        # (and stream to watchdog subscribers) before their trial parent,
+        # so each carries the trial identity itself.
+        context.record(
+            "evaluate" if "evaluate_s" in payload else "execute",
+            evaluate_s,
+            parent=parent,
+            error=trial.error,
+            trial_id=trial.trial_id,
+            status=trial.status.value,
         )
-        tracer.end_span(span, end=now - wall_s + queue_wait_s)
+        if payload.get("telemetry") is not None:
+            fabric.merge_payload(
+                payload["telemetry"], parent=parent, attributes={"trial_id": trial.trial_id}
+            )
 
     def _analysis(self, trials: list[Trial], start: float) -> ExperimentAnalysis:
         return ExperimentAnalysis(

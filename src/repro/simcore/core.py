@@ -413,10 +413,10 @@ class Environment:
                 heapq.heappush(self._queue, (at, -1, self._eid, stop))
             stop.callbacks.append(_stop_callback)
 
-        from repro.observability.digest import get_perf
+        from repro.observability.telemetry import telemetry
 
-        perf = get_perf()
-        track = self._stats is not None or perf.enabled
+        context = telemetry()
+        track = self._stats is not None or context.enabled
         wall_start = time.perf_counter() if track else 0.0
         try:
             self._run_loop(wall_deadline, wall_timeout_s)
@@ -427,7 +427,7 @@ class Environment:
                 elapsed = time.perf_counter() - wall_start
                 if self._stats is not None:
                     self._stats.wall_s += elapsed
-                perf.record("des_run", elapsed)
+                context.record("des_run", elapsed)
 
         if stop is not None and isinstance(until, Event) and not stop.triggered:
             raise SimulationError(

@@ -122,22 +122,19 @@ class Testbed:
                 node.reserve(job_id)
             reservation.nodes.setdefault(req.cluster, []).extend(nodes)
 
-        from repro.observability.metrics import get_registry
-        from repro.observability.trace import get_tracer
+        from repro.observability.telemetry import telemetry
 
-        tracer = get_tracer()
-        if tracer.enabled:
+        context = telemetry()
+        if context.enabled:
             # A manual-lifecycle span spanning reserve → release, so the
             # campaign timeline shows testbed occupancy alongside the trials.
-            reservation._span = tracer.start_span(
+            reservation._span = context.tracer.start_span(
                 f"reservation:{job_id}",
                 nodes=reservation.node_count,
                 clusters=",".join(sorted(reservation.nodes)),
             )
-            reservation._tracer = tracer
-        registry = get_registry()
-        if registry.enabled:
-            gauge = registry.gauge(
+            reservation._tracer = context.tracer
+            gauge = context.registry.gauge(
                 "testbed_nodes_reserved", "nodes currently held by reservations", ("cluster",)
             )
             for cluster_name, nodes in reservation.nodes.items():

@@ -10,7 +10,7 @@ import pytest
 from repro.bayesopt import Integer, Optimizer, Real, Space
 from repro.errors import ValidationError
 from repro.experiments import ExperimentArchive, ExperimentManifest
-from repro.observability.digest import PerfRecorder, set_perf
+from repro.observability.telemetry import disable, enable
 from repro.search.algos import ConcurrencyLimiter, SurrogateSearch
 from repro.search.runner import TrialRunner
 from repro.surrogate.forest import ExtraTreesRegressor, RandomForestRegressor
@@ -302,8 +302,7 @@ class TestSuggestDigestSplit:
     def test_suggest_and_suggest_fit_series(self):
         """Fit-bearing asks and amortized suggests land in separate digests,
         and every surrogate fit records a refit observation."""
-        perf = PerfRecorder()
-        set_perf(perf)
+        perf = enable().perf
         try:
             space = Space([Integer(0, 40, name="n"), Real(-2, 2, name="r")])
             search = SurrogateSearch(
@@ -331,4 +330,4 @@ class TestSuggestDigestSplit:
             if ops["suggest"].count and ops["suggest_fit"].count:
                 assert ops["suggest"].quantile(0.5) < ops["suggest_fit"].quantile(0.5)
         finally:
-            set_perf(None)
+            disable()

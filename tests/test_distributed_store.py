@@ -499,32 +499,28 @@ class TestAtomicCheckpoints:
 
 class TestFabricReactivation:
     def test_reactivation_resets_stale_identity(self):
-        from repro.observability.digest import PerfRecorder, get_perf, set_perf
-        from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
-        from repro.observability.trace import get_tracer, set_tracer
+        from repro.observability.telemetry import install, telemetry
 
-        saved = (get_tracer(), get_registry(), get_perf())
+        saved = telemetry()
         saved_id = (fabric._runner_id, fabric._activated_pid)
         try:
             first = fabric.activate_worker("alpha")
             assert first == f"alpha/w{os.getpid()}"
-            tracer_a = get_tracer()
-            # Same identity: idempotent, telemetry slots untouched.
+            context_a = telemetry()
+            # Same identity: idempotent, telemetry context untouched.
             assert fabric.activate_worker("alpha") == first
-            assert get_tracer() is tracer_a
+            assert telemetry() is context_a
             # A reused worker process activated under a new runner name must
             # not keep shipping spans under the old identity.
             second = fabric.activate_worker("beta")
             assert second == f"beta/w{os.getpid()}"
             assert fabric.worker_runner_id() == second
-            assert get_tracer() is not tracer_a
+            assert telemetry() is not context_a
             # Simulate fork inheritance: the recorded pid differs from ours.
             fabric._activated_pid = os.getpid() + 1
-            tracer_b = get_tracer()
+            context_b = telemetry()
             assert fabric.activate_worker("beta") == second
-            assert get_tracer() is not tracer_b  # fresh slots for the "child"
+            assert telemetry() is not context_b  # a fresh context for the "child"
         finally:
-            set_tracer(saved[0])
-            set_registry(MetricsRegistry() if saved[1] is None else saved[1])
-            set_perf(PerfRecorder() if saved[2] is None else saved[2])
+            install(saved)
             fabric._runner_id, fabric._activated_pid = saved_id

@@ -9,18 +9,16 @@ import pytest
 from repro.observability.digest import (
     PERF_PROFILE_FILE,
     LatencyDigest,
-    NullPerfRecorder,
     PerfRecorder,
-    get_perf,
-    set_perf,
 )
 from repro.observability.profile import aggregate_costs
+from repro.observability.telemetry import Telemetry, disable, enable, telemetry
 
 
 @pytest.fixture(autouse=True)
 def _clean_perf():
     yield
-    set_perf(None)
+    disable()
 
 
 class TestLatencyDigest:
@@ -110,8 +108,8 @@ class TestPerfRecorder:
         assert perf.digest("suggest").quantile(0.5) == pytest.approx(0.0505, rel=0.1)
 
     def test_timed_context(self):
-        perf = PerfRecorder()
-        with perf.timed("deploy"):
+        perf = enable().perf
+        with telemetry().measure("deploy"):
             pass
         assert perf.digest("deploy").count == 1
 
@@ -150,20 +148,20 @@ class TestPerfRecorder:
         assert "summary" in prom
 
     def test_null_recorder_is_inert(self):
-        null = NullPerfRecorder()
+        null = Telemetry(enabled=False)
         null.record("suggest", 1.0)
-        with null.timed("suggest"):
+        with null.measure("suggest"):
             pass
         assert not null.enabled
-        assert null.ops() == {}
+        assert null.perf is None
 
     def test_global_slot(self):
-        assert not get_perf().enabled
-        live = PerfRecorder()
-        set_perf(live)
-        assert get_perf() is live
-        set_perf(None)
-        assert not get_perf().enabled
+        assert not telemetry().enabled
+        live = enable()
+        assert telemetry() is live
+        assert live.perf.ops() == {}
+        disable()
+        assert not telemetry().enabled
 
 
 class TestAggregateCostsHardening:

@@ -32,13 +32,12 @@ from repro.observability.live import (
     LiveMonitor,
     StatusBoard,
     TelemetryPusher,
-    get_status_board,
     parse_serve_spec,
     render_status_line,
-    set_status_board,
     stream_events,
 )
-from repro.observability.watchdog import CampaignWatchdog, set_watchdog
+from repro.observability.telemetry import telemetry
+from repro.observability.watchdog import CampaignWatchdog
 from repro.optimizer import OptimizationManager, OptimizerConf
 from repro.search.store import TrialStore
 
@@ -53,10 +52,8 @@ OBJECTIVES = [{"metric": "user_resp_time", "mode": "min"}]
 
 @pytest.fixture(autouse=True)
 def _clean_globals():
-    """Every test leaves the process-global telemetry slots inert."""
+    """Every test leaves the process's telemetry context inert."""
     yield
-    set_watchdog(None)
-    set_status_board(None)
     obs.disable()
 
 
@@ -143,11 +140,9 @@ class TestStatusBoard:
         assert board.snapshot()["incumbent"] == {"trial_id": "b", "value": 9.0}
 
     def test_null_board_is_default_and_inert(self):
-        board = get_status_board()
-        assert not board.enabled
-        board.trial_started("x")
-        board.trial_finished("x", value=1.0, status="terminated")
-        assert board.snapshot() == {}
+        assert telemetry().board is None
+        doc = LiveMonitor("127.0.0.1", 0, name="bare").status()
+        assert "trials" not in doc and "phase" not in doc  # no board, no counters
 
 
 class TestWorkerLiveness:
@@ -238,9 +233,9 @@ class TestLiveServer:
         assert closed["closed"] is True
 
     def test_sse_client_receives_injected_watchdog_alert(self):
-        tracer, _ = obs.enable()
-        watchdog = CampaignWatchdog()
-        set_watchdog(watchdog)
+        context = obs.enable()
+        tracer = context.tracer
+        watchdog = context.watchdog = CampaignWatchdog()
         watchdog.attach(tracer)
         monitor = LiveMonitor("127.0.0.1", 0, name="sse")
         monitor.start()
@@ -296,7 +291,7 @@ class TestLiveServer:
         assert "repro_live_events_dropped_total 8" in monitor.render_metrics()
 
     def test_post_telemetry_merges_with_attribution(self):
-        tracer, _ = obs.enable()
+        tracer = obs.enable().tracer
         monitor = LiveMonitor("127.0.0.1", 0, name="ingest")
         monitor.start()
         try:
@@ -327,7 +322,7 @@ class TestLiveServer:
             monitor.stop()
 
     def test_post_telemetry_rejects_bad_token(self):
-        tracer, _ = obs.enable()
+        tracer = obs.enable().tracer
         monitor = LiveMonitor("127.0.0.1", 0, name="auth")
         monitor.start()
         try:
@@ -350,6 +345,30 @@ class TestLiveServer:
         finally:
             monitor.stop()
 
+    def test_post_malformed_metrics_block_gets_json_reply(self):
+        context = obs.enable()
+        monitor = LiveMonitor("127.0.0.1", 0, name="malformed")
+        monitor.start()
+        try:
+            body = {"schema": "repro.fabric/1", "pid": 1, "runner_id": "w/1", "metrics": {"x": 1}}
+            request = urllib.request.Request(
+                monitor.url + "/telemetry",
+                data=json.dumps(body).encode("utf-8"),
+                headers={"Content-Type": "application/json", "X-Repro-Token": monitor.token},
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=10) as resp:
+                status, doc = resp.status, json.loads(resp.read().decode("utf-8"))
+            assert status == 200
+            assert doc == {"ok": True, "payloads": 1, "spans_merged": 0}
+            dropped = context.registry.counter(
+                "repro_fabric_merge_dropped_total",
+                "malformed fabric entries dropped during merge",
+            )
+            assert dropped.value() == 1
+        finally:
+            monitor.stop()
+
     def test_metrics_and_404_without_enabled_registry(self):
         monitor = LiveMonitor("127.0.0.1", 0, name="bare")
         monitor.start()
@@ -366,7 +385,7 @@ class TestLiveServer:
 
 class TestFormatJson:
     def _run_dir(self, tmp_path):
-        tracer, _ = obs.enable()
+        tracer = obs.enable().tracer
         with tracer.span("phase:optimize"):
             with tracer.span("trial:live_test_00000", trial_id="live_test_00000"):
                 pass
@@ -407,9 +426,9 @@ class TestFormatJson:
 
 class TestMonitorCli:
     def test_once_against_live_url(self, capsys):
-        set_status_board(StatusBoard(name="cli", num_samples=3))
-        get_status_board().set_phase("optimize")
-        get_status_board().trial_started("t1")
+        board = obs.enable().board = StatusBoard(name="cli", num_samples=3)
+        board.set_phase("optimize")
+        board.trial_started("t1")
         monitor = LiveMonitor("127.0.0.1", 0, name="cli")
         monitor.start()
         try:
@@ -422,7 +441,7 @@ class TestMonitorCli:
             monitor.stop()
 
     def test_finished_run_dir_falls_back_to_report(self, tmp_path, capsys):
-        tracer, _ = obs.enable()
+        tracer = obs.enable().tracer
         with tracer.span("phase:optimize"):
             pass
         run_dir = tmp_path / "run"

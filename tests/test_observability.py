@@ -1,5 +1,6 @@
 """Tests for the observability layer: tracing, metrics, profiling, report."""
 
+import contextlib
 import json
 import math
 import threading
@@ -10,32 +11,34 @@ from repro import simcore
 from repro.bayesopt import Integer, Space
 from repro.errors import ValidationError
 from repro.monitoring import MetricCollector
+from repro import observability as obs
 from repro.observability import (
     CostBreakdown,
     MetricsRegistry,
-    NoopTracer,
-    NullRegistry,
     RecordingTracer,
     Span,
     aggregate_costs,
-    get_registry,
-    get_tracer,
-    load_run,
     load_spans,
-    render_report,
-    set_registry,
-    set_tracer,
-    tracing,
 )
+from repro.observability.report import load_run, render_report
+from repro.observability.telemetry import INERT, telemetry
 from repro.search import RandomSearch, run
 
 
 @pytest.fixture(autouse=True)
 def _clean_globals():
-    """Never leak a tracer/registry into other tests."""
+    """Never leak a telemetry context into other tests."""
     yield
-    set_tracer(None)
-    set_registry(None)
+    obs.disable()
+
+
+@contextlib.contextmanager
+def _tracing():
+    """A live telemetry context for the block; yields its tracer."""
+    try:
+        yield obs.enable().tracer
+    finally:
+        obs.disable()
 
 
 def _space():
@@ -48,17 +51,18 @@ def _objective(config):
 
 class TestTracer:
     def test_default_is_noop(self):
-        tracer = get_tracer()
-        assert isinstance(tracer, NoopTracer)
-        assert not tracer.enabled
-        with tracer.span("anything", attr=1) as span:
+        context = telemetry()
+        assert not context.enabled
+        assert context.tracer is None
+        with obs.measure("anything", attr=1) as span:
             assert span.set("k", "v") is span  # chainable, absorbed
-        assert tracer.current() is None
+        obs.record("tell", 1.0, trial_id="t")  # absorbed
+        assert context.tracer is None and context.perf is None
 
     def test_noop_allocates_nothing(self):
-        tracer = NoopTracer()
-        assert tracer.span("a") is tracer.span("b")  # shared context
-        assert tracer.start_span("a") is tracer.start_span("b")  # shared span
+        assert obs.measure("a") is obs.measure("b") is INERT  # one shared object
+        with obs.measure("a") as span:
+            assert span is INERT
 
     def test_nesting_and_parents(self):
         tracer = RecordingTracer()
@@ -124,11 +128,11 @@ class TestTracer:
         assert all(isinstance(s, Span) for s in loaded)
 
     def test_tracing_context_restores_previous(self):
-        before = get_tracer()
-        with tracing() as tracer:
-            assert get_tracer() is tracer
-            assert tracer.enabled
-        assert get_tracer() is before
+        context = obs.enable()
+        assert telemetry() is context
+        assert context.enabled
+        obs.disable()
+        assert not telemetry().enabled
 
 
 class TestMetricsRegistry:
@@ -192,11 +196,16 @@ class TestMetricsRegistry:
         assert metric["series"][0]["value"] == 7.0
 
     def test_null_registry_is_inert(self):
-        reg = NullRegistry()
-        assert not reg.enabled
-        assert reg.counter("a") is reg.gauge("b") is reg.histogram("c")
-        reg.counter("a").inc()  # absorbed
-        assert reg.to_dict() == {"metrics": []}
+        from repro.faults import FaultInjector, FaultSpec
+
+        assert telemetry().registry is None
+        FaultInjector(FaultSpec())._record("transient")  # publishes nothing
+        context = obs.enable()
+        FaultInjector(FaultSpec())._record("transient")
+        counter = context.registry.counter(
+            "repro_faults_injected_total", labelnames=("kind",)
+        )
+        assert counter.value(kind="transient") == 1.0
 
 
 class TestCostBreakdown:
@@ -280,13 +289,13 @@ class TestCollectorBridge:
 
     def test_defaults_to_global_null_registry(self):
         env, collector = self._env_with_collector()
-        env.run(until=30.0)  # publishing into the NullRegistry is a no-op
+        env.run(until=30.0)  # no registry while telemetry is off: a no-op
         assert len(collector.series["v"]) == 2  # t=10, t=20; no t=0 sample
 
 
 class TestRunnerTracing:
     def test_spans_and_costs_per_trial(self):
-        with tracing() as tracer:
+        with _tracing() as tracer:
             analysis = run(
                 _objective,
                 search_alg=RandomSearch(_space(), seed=0),
@@ -315,13 +324,13 @@ class TestRunnerTracing:
         def bad(config):
             raise RuntimeError("nope")
 
-        with tracing() as tracer:
+        with _tracing() as tracer:
             run(bad, search_alg=RandomSearch(_space(), seed=0), metric="loss", num_samples=2)
         trial_spans = [s for s in tracer.finished() if s.name.startswith("trial:")]
         assert all(s.attributes["status"] == "error" for s in trial_spans)
 
     def test_thread_executor_spans_keep_parentage(self):
-        with tracing() as tracer:
+        with _tracing() as tracer:
             run(
                 _objective,
                 space=_space(),
@@ -342,7 +351,7 @@ class TestRunnerTracing:
         analysis = run(
             _objective, search_alg=RandomSearch(_space(), seed=0), metric="loss", num_samples=3
         )
-        assert isinstance(get_tracer(), NoopTracer)
+        assert not telemetry().enabled
         for trial in analysis.trials:
             assert trial.cost["evaluate_s"] >= 0.0
 
@@ -370,9 +379,8 @@ class TestEnginePublishing:
     def test_engine_run_exports_spans_and_metrics(self):
         from repro.engine import BASELINE_CONFIG, simulate_engine
 
-        reg = MetricsRegistry()
-        set_registry(reg)
-        with tracing() as tracer:
+        with _tracing() as tracer:
+            reg = telemetry().registry
             simulate_engine(BASELINE_CONFIG, 20, duration=60.0, warmup=10.0, seed=3)
         spans = {s.name: s for s in tracer.finished()}
         assert "engine.run" in spans
@@ -432,8 +440,7 @@ class TestManagerEndToEnd:
         run_dir = manager.run_dir
 
         # observability disabled again after the run
-        assert isinstance(get_tracer(), NoopTracer)
-        assert not get_registry().enabled
+        assert not telemetry().enabled
 
         spans = load_spans(run_dir / "spans.jsonl")
         names = {s.name for s in spans}
@@ -493,25 +500,6 @@ class TestManagerEndToEnd:
         assert "top 3 slowest spans" in text
 
 
-class TestNullInstrumentParity:
-    """Every read-side method a real instrument has must exist on the null one."""
-
-    def test_null_histogram_snapshot(self):
-        reg = NullRegistry()
-        snap = reg.histogram("h").snapshot()
-        assert snap["count"] == 0
-        assert snap["sum"] == 0.0
-        assert math.isnan(snap["mean"])
-        assert snap["buckets"] == {}
-        # labeled access works too (gauges/counters share the instrument).
-        assert reg.gauge("g").snapshot(pool="http")["count"] == 0
-
-    def test_null_series_and_to_dict(self):
-        reg = NullRegistry()
-        assert reg.counter("c").series() == []
-        assert reg.counter("c").to_dict()["series"] == []
-
-
 class TestPrometheusHistogramBuckets:
     def test_labeled_buckets_are_cumulative_and_scrapable(self):
         reg = MetricsRegistry()
@@ -560,8 +548,7 @@ class TestQueueWaitSpans:
     def test_threaded_runner_emits_queue_wait(self):
         from repro.search import TrialRunner
 
-        tracer = RecordingTracer()
-        set_tracer(tracer)
+        tracer = obs.enable().tracer
         runner = TrialRunner(
             lambda config: {"objective": float(config["a"])},
             RandomSearch(_space(), seed=5),

@@ -2,7 +2,8 @@
 
 The gate must diff clean on identical runs, fail on an injected 2x
 suggest-latency regression, and understand every profile source it
-claims to (perf_profile.json, run directories, BENCH result JSONs).
+claims to (perf_profile.json, run directories, recorded baselines and the
+``ops`` blocks the BENCH benchmarks write).
 """
 
 import json
@@ -44,7 +45,17 @@ class TestLoadProfile:
         assert by_dir["suggest"].digest is not None
         assert math.isfinite(by_dir["suggest"].value("p90"))
 
+    @staticmethod
+    def _load_bench(tmp_path, name, payload, bench_ops):
+        """Write a BENCH payload the way its benchmark does, then load it."""
+        payload["ops"] = bench_ops(payload)
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return load_profile(path)
+
     def test_loads_bench_campaign_shape(self, tmp_path):
+        from benchmarks.test_campaign_throughput import bench_ops
+
         payload = {
             "baseline": {
                 "trials": 500,
@@ -54,33 +65,31 @@ class TestLoadProfile:
             },
             "n_trials": 500,
         }
-        path = tmp_path / "BENCH_campaign.json"
-        path.write_text(json.dumps(payload))
-        ops = load_profile(path)
+        ops = self._load_bench(tmp_path, "BENCH_campaign.json", payload, bench_ops)
         assert ops["baseline.suggest"].value("p50") == pytest.approx(0.002)
         assert ops["baseline.trial"].value("mean") == pytest.approx(0.02)
 
     def test_loads_bench_eval_shape(self, tmp_path):
+        from benchmarks.test_eval_throughput import bench_ops
+
         payload = {
             "campaign": {"fast": {"trials": 16, "wall_s": 8.0}},
             "des": {"fast": {"events_per_sec": 50_000.0}},
         }
-        path = tmp_path / "BENCH_eval.json"
-        path.write_text(json.dumps(payload))
-        ops = load_profile(path)
+        ops = self._load_bench(tmp_path, "BENCH_eval.json", payload, bench_ops)
         assert ops["campaign.fast.trial"].value("mean") == pytest.approx(0.5)
         assert ops["des.fast.event"].value("mean") == pytest.approx(2e-5)
 
     def test_loads_bench_hybrid_shape(self, tmp_path):
-        # carries a "des" arm too — must be sniffed as hybrid, not eval
+        from benchmarks.test_workload_scaling_hybrid import bench_ops
+
         payload = {
             "hybrid": {"wall_s": 0.8, "des_epochs": 32},
             "des": {"wall_s": 80.0, "completed": 1_000_000},
             "speedup": 100.0,
         }
-        path = tmp_path / "BENCH_hybrid.json"
-        path.write_text(json.dumps(payload))
-        ops = load_profile(path)
+        ops = self._load_bench(tmp_path, "BENCH_hybrid.json", payload, bench_ops)
+        assert set(ops) == {"hybrid.window", "des.request"}
         assert ops["hybrid.window"].value("mean") == pytest.approx(0.025)
         assert ops["des.request"].value("mean") == pytest.approx(8e-5)
 

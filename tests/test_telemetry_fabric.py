@@ -13,18 +13,14 @@ import pytest
 import repro.observability as obs
 from repro.bayesopt import Integer, Space
 from repro.observability import fabric
-from repro.observability.digest import PerfRecorder, get_perf, set_perf
-from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
-from repro.observability.trace import RecordingTracer, get_tracer, set_tracer
+from repro.observability.telemetry import Telemetry, telemetry
 from repro.search import RandomSearch, TrialStatus, run
 
 
 @pytest.fixture(autouse=True)
 def _clean_globals():
     yield
-    set_tracer(None)
-    set_registry(None)
-    set_perf(None)
+    obs.disable()
 
 
 def _space():
@@ -37,35 +33,32 @@ def _objective(config):
 
 def _worker_payload():
     """Build a fabric payload the way a worker would (fresh local state)."""
-    tracer = RecordingTracer()
-    registry = MetricsRegistry()
-    perf = PerfRecorder()
-    with tracer.span("evaluate", trial_id="t0"):
-        with tracer.span("des_run"):
+    worker = Telemetry()
+    with worker.tracer.span("evaluate", trial_id="t0"):
+        with worker.tracer.span("des_run"):
             pass
-    registry.counter("repro_evaluations_total", "evals").inc()
-    perf.record("evaluate", 0.25)
+    worker.registry.counter("repro_evaluations_total", "evals").inc()
+    worker.perf.record("evaluate", 0.25)
     return {
         "schema": fabric.FABRIC_SCHEMA,
         "pid": 4242,
         "runner_id": "exp/w4242",
-        "epoch_unix": tracer.started_at,
-        "spans": [s.to_dict() for s in tracer.drain()],
-        "metrics": registry.drain_state(),
-        "perf": perf.drain_state(),
+        "epoch_unix": worker.tracer.started_at,
+        "spans": [s.to_dict() for s in worker.tracer.drain()],
+        "metrics": worker.registry.drain_state(),
+        "perf": worker.perf.drain_state(),
     }
 
 
 class TestSpanIngest:
     def test_ids_remapped_parentage_preserved(self):
-        parent_tracer = RecordingTracer()
+        parent = Telemetry()
+        parent_tracer = parent.tracer
         payload = _worker_payload()
         with parent_tracer.span("trial:t0") as trial_span:
             merged = fabric.merge_payload(
                 payload,
-                tracer=parent_tracer,
-                registry=MetricsRegistry(),
-                perf=PerfRecorder(),
+                into=parent,
                 parent=trial_span,
                 attributes={"trial_id": "t0"},
             )
@@ -80,48 +73,34 @@ class TestSpanIngest:
         assert des.span_id != evaluate.span_id
 
     def test_attribution_stamped(self):
-        parent_tracer = RecordingTracer()
-        fabric.merge_payload(
-            _worker_payload(),
-            tracer=parent_tracer,
-            registry=MetricsRegistry(),
-            perf=PerfRecorder(),
-            attributes={"trial_id": "t0"},
-        )
+        parent = Telemetry()
+        parent_tracer = parent.tracer
+        fabric.merge_payload(_worker_payload(), into=parent, attributes={"trial_id": "t0"})
         for span in parent_tracer.finished():
             assert span.attributes["runner_id"] == "exp/w4242"
             assert span.attributes["pid"] == 4242
             assert span.attributes["trial_id"] == "t0"
 
     def test_metrics_and_perf_merged(self):
-        registry = MetricsRegistry()
-        perf = PerfRecorder()
-        fabric.merge_payload(
-            _worker_payload(), tracer=RecordingTracer(), registry=registry, perf=perf
-        )
+        parent = Telemetry()
+        registry, perf = parent.registry, parent.perf
+        fabric.merge_payload(_worker_payload(), into=parent)
         counter = registry.counter("repro_evaluations_total", "evals")
         assert sum(v for _, v in counter.series()) == 1
         assert perf.digest("evaluate").count == 1
 
     def test_merged_spans_stream_to_subscribers(self):
-        parent_tracer = RecordingTracer()
+        parent = Telemetry()
         seen = []
-        parent_tracer.subscribe(seen.append)
-        fabric.merge_payload(
-            _worker_payload(),
-            tracer=parent_tracer,
-            registry=MetricsRegistry(),
-            perf=PerfRecorder(),
-        )
+        parent.tracer.subscribe(seen.append)
+        fabric.merge_payload(_worker_payload(), into=parent)
         assert {s.name for s in seen} == {"evaluate", "des_run"}
 
     def test_malformed_payload_dropped_not_fatal(self):
-        registry = MetricsRegistry()
+        parent = Telemetry()
+        registry = parent.registry
         merged = fabric.merge_payload(
-            {"schema": "wrong/1", "spans": [{"bad": True}]},
-            tracer=RecordingTracer(),
-            registry=registry,
-            perf=PerfRecorder(),
+            {"schema": "wrong/1", "spans": [{"bad": True}]}, into=parent
         )
         assert merged == 0
         dropped = registry.counter(
@@ -129,28 +108,43 @@ class TestSpanIngest:
         )
         assert sum(v for _, v in dropped.series()) == 1
 
+    @pytest.mark.parametrize(
+        "key, block",
+        [
+            ("perf", [1]),
+            ("perf", {"started_at": "x"}),
+            ("metrics", [1]),
+            ("metrics", {"x": 1}),
+        ],
+    )
+    def test_malformed_blocks_dropped_and_counted(self, key, block):
+        payload = _worker_payload()
+        payload[key] = block
+        parent = Telemetry()
+        merged = fabric.merge_payload(payload, into=parent)
+        assert merged == 2  # the spans still merge
+        dropped = parent.registry.counter(
+            "repro_fabric_merge_dropped_total", "malformed fabric entries dropped during merge"
+        )
+        assert dropped.value() == 1
+
     def test_malformed_span_entries_dropped(self):
         payload = _worker_payload()
         payload["spans"].append({"garbage": 1})
-        tracer = RecordingTracer()
-        merged = fabric.merge_payload(
-            payload, tracer=tracer, registry=MetricsRegistry(), perf=PerfRecorder()
-        )
+        merged = fabric.merge_payload(payload, into=Telemetry())
         assert merged == 2
 
     def test_clock_rebased_into_parent_timeline(self):
-        parent_tracer = RecordingTracer()
+        parent = Telemetry()
         payload = _worker_payload()
         # pretend the worker epoch was 100s after the parent epoch
-        payload["epoch_unix"] = parent_tracer.started_at + 100.0
-        fabric.merge_payload(
-            payload, tracer=parent_tracer, registry=MetricsRegistry(), perf=PerfRecorder()
-        )
-        for span in parent_tracer.finished():
+        payload["epoch_unix"] = parent.tracer.started_at + 100.0
+        fabric.merge_payload(payload, into=parent)
+        for span in parent.tracer.finished():
             assert span.start_s >= 100.0
 
     def test_self_metric_counters(self):
-        tracer = RecordingTracer()
+        tracer = Telemetry().tracer
         with tracer.span("x"):
             pass
         assert tracer.spans_recorded == 1
@@ -171,8 +165,8 @@ class TestWorkerLifecycle:
         assert not fabric.worker_active()
 
     def test_export_includes_tracer_self_metrics(self, tmp_path):
-        tracer, registry = obs.enable()
-        with tracer.span("x"):
+        obs.enable()
+        with obs.measure("x"):
             pass
         obs.export(tmp_path)
         import json
@@ -188,7 +182,8 @@ class TestProcessExecutorEndToEnd:
     def test_worker_spans_merged_with_attribution(self):
         """Acceptance: a process campaign yields worker-side evaluate spans
         (runner_id/pid stamped) for every trial, plus merged digests."""
-        tracer, registry = obs.enable()
+        context = obs.enable()
+        tracer, registry = context.tracer, context.registry
         try:
             analysis = run(
                 _objective,
@@ -215,8 +210,8 @@ class TestProcessExecutorEndToEnd:
             # worker-measured costs landed on the trials
             for trial in analysis.trials:
                 assert trial.cost["evaluate_s"] <= trial.runtime_s + 1e-9
-            # digests: parent-side suggest + worker-side evaluate/queue-wait
-            perf = get_perf()
+            # digests: one suggest/evaluate/queue-wait sample per trial
+            perf = context.perf
             assert perf.digest("suggest").count == 4
             assert perf.digest("evaluate").count == 4
             assert perf.digest("queue_wait").count == 4
@@ -239,9 +234,7 @@ class TestProcessExecutorEndToEnd:
             max_workers=2,
         )
         assert all(t.status is TrialStatus.TERMINATED for t in analysis.trials)
-        assert not get_tracer().enabled
-        assert not get_registry().enabled
-        assert not get_perf().enabled
+        assert not telemetry().enabled
 
     def test_perf_profile_has_hot_path_percentiles(self, tmp_path):
         """Acceptance: perf_profile.json reports p50/p90/p99 for the

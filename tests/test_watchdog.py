@@ -5,17 +5,16 @@ import json
 import pytest
 
 from repro.errors import ValidationError
-from repro.observability import set_registry, set_tracer
+from repro import observability as obs
 from repro.observability.metrics import MetricsRegistry
+from repro.observability.telemetry import telemetry
 from repro.observability.trace import RecordingTracer, Span
 from repro.observability.watchdog import (
     ALERTS_FILE,
     Alert,
     CampaignWatchdog,
     WatchdogConfig,
-    get_watchdog,
     load_alerts,
-    set_watchdog,
 )
 from repro.optimizer import OptimizationManager, OptimizerConf
 
@@ -23,9 +22,7 @@ from repro.optimizer import OptimizationManager, OptimizerConf
 @pytest.fixture(autouse=True)
 def _clean_globals():
     yield
-    set_tracer(None)
-    set_registry(None)
-    set_watchdog(None)
+    obs.disable()
 
 
 def _execute_span(span_id, trial_id, duration, *, status="ok", error=None, end=None):
@@ -346,7 +343,7 @@ class TestCampaignIntegration:
         for name in ("spans.jsonl", ALERTS_FILE, "timeline.html", "trace_events.json"):
             assert (manager.run_dir / name).exists(), name
         assert "total" in outcome.summary.alerts
-        assert get_watchdog() is None  # cleared after the run
+        assert telemetry().watchdog is None  # cleared after the run
 
     def test_summary_renders_watchdog_line(self, tmp_path):
         conf = OptimizerConf.from_dict(

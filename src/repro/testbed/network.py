@@ -1,7 +1,7 @@
 """Network topology and emulation.
 
 E2Clab's network manager applies ``tc``-style latency/bandwidth constraints
-between layers of the continuum. Here the topology is a graph (networkx) of
+between layers of the continuum. Here the topology is a graph of
 *endpoints* — sites, clusters or logical layers (``edge``/``fog``/``cloud``)
 — whose edges carry latency and bandwidth. Transfer time for a payload is::
 
@@ -13,9 +13,8 @@ Edge-to-Cloud emulation literature the paper builds on.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.errors import ValidationError
 
@@ -84,24 +83,20 @@ class NetworkEmulator:
     DEFAULT_BANDWIDTH_GBPS = 10.0
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        #: endpoint -> neighbour -> the link between them (both directions).
+        self._links: dict[str, dict[str, Link]] = {}
         self._cache: dict[tuple[str, str], NetworkPath] = {}
 
     def add_site(self, name: str) -> None:
-        self._graph.add_node(name)
+        self._links.setdefault(name, {})
 
     def endpoints(self) -> list[str]:
-        return sorted(self._graph.nodes)
+        return sorted(self._links)
 
     def add_link(self, link: Link) -> None:
         """Install (or replace) the link between ``link.a`` and ``link.b``."""
-        self._graph.add_edge(
-            link.a,
-            link.b,
-            latency_ms=link.latency_ms,
-            bandwidth_gbps=link.bandwidth_gbps,
-            loss=link.loss,
-        )
+        self._links.setdefault(link.a, {})[link.b] = link
+        self._links.setdefault(link.b, {})[link.a] = link
         self._cache.clear()
 
     def constrain(
@@ -134,32 +129,47 @@ class NetworkEmulator:
         self._cache[key] = path
         return path
 
+    def _shortest_hops(self, a: str, b: str) -> list[str] | None:
+        """Dijkstra over link latencies; ``None`` if ``b`` is unreachable."""
+        best = {a: 0.0}
+        previous: dict[str, str] = {}
+        frontier = [(0.0, a)]
+        while frontier:
+            dist, node = heapq.heappop(frontier)
+            if dist > best[node]:
+                continue  # a stale entry: a shorter one was pushed later
+            if node == b:
+                hops = [b]
+                while hops[-1] != a:
+                    hops.append(previous[hops[-1]])
+                return hops[::-1]
+            for neighbour, link in self._links[node].items():
+                candidate = dist + link.latency_ms
+                if neighbour not in best or candidate < best[neighbour]:
+                    best[neighbour] = candidate
+                    previous[neighbour] = node
+                    heapq.heappush(frontier, (candidate, neighbour))
+        return None
+
     def _resolve(self, a: str, b: str) -> NetworkPath:
-        if a in self._graph and b in self._graph:
-            try:
-                hops = nx.shortest_path(self._graph, a, b, weight="latency_ms")
-            except nx.NetworkXNoPath:
-                hops = None
-            if hops is not None:
-                latency = 0.0
-                bandwidth = float("inf")
-                success = 1.0
-                for u, v in zip(hops, hops[1:]):
-                    edge = self._graph.edges[u, v]
-                    latency += edge["latency_ms"]
-                    bandwidth = min(bandwidth, edge["bandwidth_gbps"])
-                    success *= 1.0 - edge["loss"]
-                return NetworkPath(
-                    hops=tuple(hops),
-                    latency_ms=latency,
-                    bandwidth_gbps=bandwidth,
-                    loss=1.0 - success,
-                )
+        hops = self._shortest_hops(a, b) if a in self._links and b in self._links else None
+        if hops is None:
+            return NetworkPath(
+                hops=(a, b),
+                latency_ms=self.DEFAULT_LATENCY_MS,
+                bandwidth_gbps=self.DEFAULT_BANDWIDTH_GBPS,
+                loss=0.0,
+            )
+        latency = 0.0
+        bandwidth = float("inf")
+        success = 1.0
+        for u, v in zip(hops, hops[1:]):
+            link = self._links[u][v]
+            latency += link.latency_ms
+            bandwidth = min(bandwidth, link.bandwidth_gbps)
+            success *= 1.0 - link.loss
         return NetworkPath(
-            hops=(a, b),
-            latency_ms=self.DEFAULT_LATENCY_MS,
-            bandwidth_gbps=self.DEFAULT_BANDWIDTH_GBPS,
-            loss=0.0,
+            hops=tuple(hops), latency_ms=latency, bandwidth_gbps=bandwidth, loss=1.0 - success
         )
 
     def transfer_time(self, a: str, b: str, payload_bytes: float) -> float:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.bayesopt import (
     Integer,
@@ -44,6 +45,24 @@ class TestAcquisitions:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             expected_improvement(np.zeros(3), np.zeros(2), 0.0)
+
+    def test_ei_and_pi_bits_equal_scipy_stats_norm(self):
+        """The acquisitions skip ``scipy.stats``, but not one bit changes."""
+        rng = np.random.default_rng(20211)
+        for _ in range(100):  # 100 y_best values x 1000 points = 1e5 draws
+            y_best = float(rng.normal(0.0, 10.0))
+            mu = rng.normal(y_best, 10.0 ** rng.uniform(-3, 2), size=1000)
+            std = 10.0 ** rng.uniform(-14, 3, size=1000)  # below 1e-12 is clipped
+            for xi in (0.0, 0.01):
+                sigma = np.maximum(std, 1e-12)
+                improvement = y_best - xi - mu
+                z = improvement / sigma
+                ei = improvement * stats.norm.cdf(z) + sigma * stats.norm.pdf(z)
+                pi = stats.norm.cdf(z)
+                got_ei = expected_improvement(mu, std, y_best, xi)
+                got_pi = probability_of_improvement(mu, std, y_best, xi)
+                assert got_ei.tobytes() == ei.tobytes()
+                assert got_pi.tobytes() == pi.tobytes()
 
 
 class TestOptimizer:

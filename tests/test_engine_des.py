@@ -1,6 +1,8 @@
 """Tests for the engine discrete-event simulation."""
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     BASELINE_CONFIG,
@@ -12,6 +14,7 @@ from repro.engine import (
 )
 from repro.engine.tasks import PIPELINE_ORDER, SERVICE_TASKS, TaskType
 from repro.simcore.core import Environment
+from repro.testbed import grid5000
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,53 @@ class TestClosedLoop:
         X = baseline_run.throughput
         T = baseline_run.user_response_time.mean
         assert X * T == pytest.approx(R, rel=0.05)
+
+    @given(
+        http=st.integers(20, 60),
+        download=st.integers(20, 60),
+        extract=st.integers(3, 9),
+        simsearch=st.integers(20, 60),
+        seed=st.integers(0, 2**16),
+        client=st.sampled_from([None, ("gros", "chifflot"), ("chiclet", "chifflot")]),
+    )
+    # No shrink phase: each example is a full DES run, and shrinking a
+    # failure would take minutes; the first falsifying example is reported.
+    @settings(
+        max_examples=20,
+        deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    def test_response_time_law_over_drawn_configs(
+        self, http, download, extract, simsearch, seed, client
+    ):
+        """N = X·(R + Z) for the 80-client closed loop, Z = 0 (no think time).
+
+        Every client always has exactly one request in flight, so the
+        in-flight count integrates to N·T over the measured window of length
+        T = duration − warmup. The completed requests' response times sum
+        to that integral, up to the two window edges: requests that started
+        before the warm-up ended (counted in full, though only partly in
+        the window) and requests still in flight at the end (not counted).
+        At most N requests straddle each edge, each by at most one response
+        time, so |N·T − C·R| ≤ N·R_max, i.e. |N − X·R| ≤ N·R_max / T.
+        """
+        n, duration, warmup = 80, 150.0, 30.0
+        client_path = grid5000().network.path(*client) if client else None
+        result = IdentificationEngine(
+            ThreadPoolConfig(http=http, download=download, extract=extract, simsearch=simsearch),
+            WorkloadSpec(simultaneous_requests=n, duration=duration, warmup=warmup),
+            seed=seed,
+            client_path=client_path,
+            trace=True,
+        ).run()
+        responses = [trace.response_time for trace in result.traces]
+        assert len(responses) == result.completed_requests > 0
+        window = duration - warmup
+        X = result.throughput
+        R = sum(responses) / len(responses)
+        Z = 0.0
+        assert X == len(responses) / window
+        assert abs(n - X * (R + Z)) <= n * max(responses) / window
 
     def test_http_pool_saturated_when_R_exceeds_H(self, baseline_run):
         assert baseline_run.pool_busy["http"] == pytest.approx(1.0, abs=0.02)

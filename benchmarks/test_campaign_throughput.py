@@ -1,7 +1,7 @@
 """Campaign-throughput benchmark for the ask/tell hot path.
 
 Measures how fast an optimization campaign turns the suggest → evaluate →
-tell crank, comparing three arms over the same search space and seed:
+tell crank, comparing two arms over the same search space and seed:
 
 - **baseline** — the pre-batching protocol: one ``ask()`` per trial with a
   surrogate refit on every ask (``refit_every=1``), an unbounded fitted-model
@@ -10,21 +10,18 @@ tell crank, comparing three arms over the same search space and seed:
 - **fast** — the batched hot path through :func:`repro.search.run`: asks are
   drawn eight at a time from a single surrogate fit, refits are throttled
   (``refit_every=8``), the model history is off, and results are lazy.
-- **flat** — refits off the ask path entirely: incremental per-tell
-  ``partial_fit`` updates, full refits on the background worker with
-  parallel tree fitting, over a longer campaign. The payload's
-  ``suggest_head`` / ``suggest_tail`` blocks hold the first-window vs
-  last-window suggest percentiles; the benchmark asserts the tail stays
-  flat (p99 within 2× of the head) as the trial count grows.
+
+A third run checks that two identical synchronous campaigns tell the same
+values byte for byte.
 
 The objective is a cheap analytic quadratic so the measurement isolates the
 optimizer-side cost (suggest + tell), not the evaluation. Results land in
 ``benchmarks/results/BENCH_campaign.json``: trials/sec per arm, the
-suggest+tell speedup, p50/p90/p99 suggest and tell latencies, the flat arm's
-head/tail split and fit counters, a sync-determinism marker, and peak RSS.
+suggest+tell speedup, p50/p90/p99 suggest and tell latencies, a
+sync-determinism marker, and peak RSS.
 
-Scale: 500 trials (flat arm 1000) by default; set ``REPRO_BENCH_SMOKE=1``
-for a 120-trial (flat arm 360) smoke run (used by CI).
+Scale: 500 trials by default; set ``REPRO_BENCH_SMOKE=1`` for a 120-trial
+smoke run (used by CI).
 
 Set ``REPRO_BENCH_SERVE=1`` to run the fast arm with the live telemetry
 plane attached (telemetry enabled, a status board, the embedded HTTP
@@ -53,8 +50,6 @@ from repro.search.algos import SurrogateSearch
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 SERVE = os.environ.get("REPRO_BENCH_SERVE", "") == "1"
 N_TRIALS = 120 if SMOKE else 500
-N_FLAT = 360 if SMOKE else 1000
-WINDOW = 120  # head/tail window for the flat-arm percentile split
 BATCH_SIZE = 8
 REFIT_EVERY = 8
 SEED = 2021
@@ -202,73 +197,12 @@ def _run_fast(n: int) -> dict:
     }
 
 
-def _run_flat(n: int) -> dict:
-    """Long campaign with refits off the ask path: incremental per-tell
-    updates plus background full refits with parallel tree fitting. Records
-    the first-window vs last-window suggest percentiles so the payload can
-    show (and the test can assert) that the tail stays flat as trials grow.
-    """
-    space = _space()
-    opt = Optimizer(
-        space,
-        random_state=SEED,
-        refit_every=REFIT_EVERY,
-        incremental=True,
-        background_refit=True,
-        fit_jobs=2,
-    )
-    names = space.names
-    suggest_s: list[float] = []
-    tell_s: list[float] = []
-    wall0 = time.perf_counter()
-    try:
-        for _ in range(n):
-            t0 = time.perf_counter()
-            point = opt.ask()
-            t1 = time.perf_counter()
-            y = _objective(dict(zip(names, point)))
-            t2 = time.perf_counter()
-            opt.tell(point, y)
-            t3 = time.perf_counter()
-            suggest_s.append(t1 - t0)
-            tell_s.append(t3 - t2)
-        wall = time.perf_counter() - wall0
-        best = opt.result().fun
-        n_fits = opt.n_fits
-        n_background = opt.n_background_fits
-    finally:
-        opt.close()
-    head = _percentiles(suggest_s[:WINDOW])
-    tail = _percentiles(suggest_s[-WINDOW:])
-    # A tiny absolute floor keeps the ratio meaningful when both windows
-    # are sub-millisecond and dominated by scheduler noise.
-    floor_ms = 5.0
-    tail_ratio = tail["p99_ms"] / max(head["p99_ms"], floor_ms)
-    return {
-        "trials": n,
-        "wall_s": wall,
-        "trials_per_sec": n / wall,
-        "suggest": _percentiles(suggest_s),
-        "suggest_head": head,
-        "suggest_tail": tail,
-        "tell": _percentiles(tell_s),
-        "tail_ratio_p99": tail_ratio,
-        "n_full_fits": n_fits,
-        "n_background_fits": n_background,
-        "best": best,
-    }
-
-
 def _run_sync_determinism(n: int = 60) -> dict:
-    """Two identical synchronous runs (background_refit off) must agree
-    byte-for-byte — the deterministic fallback the docs promise."""
+    """Two identical synchronous runs must agree byte-for-byte."""
 
     def _once() -> tuple[list[float], float]:
         space = _space()
-        opt = Optimizer(
-            space, random_state=SEED, refit_every=REFIT_EVERY,
-            background_refit=False,
-        )
+        opt = Optimizer(space, random_state=SEED, refit_every=REFIT_EVERY)
         names = space.names
         for _ in range(n):
             point = opt.ask()
@@ -288,15 +222,14 @@ def _run_sync_determinism(n: int = 60) -> dict:
 def bench_ops(payload: dict) -> dict[str, dict]:
     """The payload's per-arm ops in the ``perf_profile.json`` shape.
 
-    Per arm: each suggest/suggest_fit/suggest_tail/tell percentile block
-    (ms in the payload, seconds here; the p50 doubles as the mean) and the
-    wall time per trial. ``python -m repro perf`` reads this ``ops`` block.
+    Per arm: the suggest and tell percentile blocks (ms in the payload,
+    seconds here; the p50 doubles as the mean) and the wall time per trial. ``python -m repro perf`` reads this ``ops`` block.
     """
     ops: dict[str, dict] = {}
     for arm, block in payload.items():
         if not isinstance(block, dict):
             continue
-        for phase in ("suggest", "suggest_fit", "suggest_tail", "tell"):
+        for phase in ("suggest", "tell"):
             stats = block.get(phase)
             if not isinstance(stats, dict):
                 continue
@@ -321,7 +254,6 @@ def test_campaign_throughput():
     fast = _run_fast(N_TRIALS)
     rss_after_fast = _peak_rss_mb()
     base = _run_baseline(N_TRIALS)
-    flat = _run_flat(N_FLAT)
     determinism = _run_sync_determinism()
 
     speedup = base["opt_time_s"] / fast["opt_time_s"]
@@ -329,14 +261,11 @@ def test_campaign_throughput():
         "scale": "smoke" if SMOKE else "full",
         "serve": SERVE,
         "n_trials": N_TRIALS,
-        "n_flat_trials": N_FLAT,
-        "flat_window": WINDOW,
         "batch_size": BATCH_SIZE,
         "refit_every": REFIT_EVERY,
         "seed": SEED,
         "baseline": base,
         "fast": fast,
-        "flat": flat,
         "sync_determinism": determinism,
         "suggest_tell_speedup": speedup,
         "peak_rss_mb": _peak_rss_mb(),
@@ -368,12 +297,6 @@ def test_campaign_throughput():
         f"{fast['tell']['p50_ms']:.2f}/{fast['tell']['p90_ms']:.2f}/"
         f"{fast['tell']['p99_ms']:.2f} ms"
     )
-    print(
-        f"  flat ({N_FLAT} trials): suggest p99 head/tail "
-        f"{flat['suggest_head']['p99_ms']:.2f}/{flat['suggest_tail']['p99_ms']:.2f} ms "
-        f"(ratio {flat['tail_ratio_p99']:.2f}), "
-        f"{flat['n_full_fits']} blocking + {flat['n_background_fits']} background fits"
-    )
     print(f"  sync determinism: {determinism['identical']}")
     print(f"  peak RSS: {payload['peak_rss_mb']:.1f} MB")
     if SERVE and fast.get("serve"):
@@ -392,15 +315,5 @@ def test_campaign_throughput():
     # Both arms optimize: sanity that batching didn't break convergence badly.
     assert fast["best"] < 0.5
     assert base["best"] < 0.5
-    # Flat arm: with refits off the ask path, the suggest p99 at trial
-    # N_FLAT must stay within 2x of the p99 over the first WINDOW trials,
-    # and at most the initial model fit may have blocked an ask.
-    assert flat["tail_ratio_p99"] <= 2.0, (
-        f"suggest tail grew: head p99 {flat['suggest_head']['p99_ms']:.2f} ms, "
-        f"tail p99 {flat['suggest_tail']['p99_ms']:.2f} ms"
-    )
-    assert flat["n_full_fits"] <= 1
-    assert flat["n_background_fits"] >= 1
-    assert flat["best"] < 0.5
-    # And the synchronous fallback stays byte-deterministic.
+    # And a seed fixes the campaign byte for byte.
     assert determinism["identical"]

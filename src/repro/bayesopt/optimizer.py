@@ -26,20 +26,10 @@ are kept off the campaign's critical path:
 - ``tell`` is O(1): it caches the decoded point and the running best, and
   ``result()`` assembles the :class:`OptimizeResult` lazily from those
   caches instead of inverse-transforming the full history per call.
-- with ``incremental=True`` each tell folds the fresh observation into the
-  published surrogate via ``partial_fit`` (frozen-structure leaf updates),
-  so full from-scratch refits only fire on dataset doubling — log-many over
-  a campaign instead of every ``refit_every`` trials.
-- with ``background_refit=True`` those full refits move off the ask path:
-  a daemon worker fits a *second* model instance while ``ask`` keeps
-  reading the last published one, and a single attribute assignment under
-  the optimizer lock swaps the fresh model in (double buffering). The
-  deterministic single-thread behaviour of ``background_refit=False`` is
-  bit-for-bit identical to previous releases.
 
-All public methods are thread-safe: ``ask``/``tell``/``result`` serialize
-on one re-entrant lock, which is also what makes the background publish an
-atomic swap from the caller's point of view.
+Every refit runs inline on the asking thread, so a seed fixes the whole
+sequence of asks. All public methods are thread-safe: ``ask``/``tell``/
+``result`` serialize on one re-entrant lock.
 """
 
 from __future__ import annotations
@@ -139,18 +129,6 @@ class Optimizer:
       observation set has doubled since the cached fit.
     - ``keep_models``: size of the fitted-surrogate history exposed through
       :attr:`models`. 0 (default) keeps none — campaign memory stays flat.
-    - ``incremental``: fold each finite tell into the published surrogate
-      via ``partial_fit`` (frozen-structure leaf updates) instead of
-      counting it towards the refit throttle; full refits then only fire on
-      dataset doubling. Slightly changes which model serves each ask, so it
-      is off by default for reproducibility.
-    - ``background_refit``: run full refits on a daemon worker thread and
-      double-buffer the model — ``ask`` always reads the last published
-      fit and a lock-protected attribute swap publishes the new one. Off by
-      default: the single-thread path is bit-for-bit reproducible.
-    - ``fit_jobs``: thread count for parallel tree construction inside one
-      forest fit (``None`` = serial, ``-1`` = cores-1). Byte-identical
-      output regardless of the worker count.
     """
 
     def __init__(
@@ -168,9 +146,6 @@ class Optimizer:
         hedge_eta: float = 1.0,
         refit_every: int = 1,
         keep_models: int = 0,
-        incremental: bool = False,
-        background_refit: bool = False,
-        fit_jobs: int | None = None,
         random_state: int | None = None,
     ) -> None:
         self.space = dimensions if isinstance(dimensions, Space) else Space(dimensions)
@@ -184,8 +159,6 @@ class Optimizer:
             raise ValidationError("refit_every must be >= 1")
         if keep_models < 0:
             raise ValidationError("keep_models must be >= 0")
-        if fit_jobs is not None and fit_jobs != -1 and fit_jobs < 1:
-            raise ValidationError("fit_jobs must be >= 1, -1, or None")
         self.base_estimator = base_estimator
         self.n_initial_points = int(n_initial_points)
         self.acq_func = acq_func
@@ -196,9 +169,6 @@ class Optimizer:
         self.hedge_eta = float(hedge_eta)
         self.refit_every = int(refit_every)
         self.keep_models = int(keep_models)
-        self.incremental = bool(incremental)
-        self.background_refit = bool(background_refit)
-        self.fit_jobs = fit_jobs
         self.rng = np.random.default_rng(random_state)
 
         sampler = get_sampler(initial_point_generator)
@@ -221,10 +191,6 @@ class Optimizer:
         self._model: SurrogateModel | None = None
         self._fit_told = 0
         self._fit_pending = 0
-        #: observation count at the last FULL fit — drives the doubling
-        #: override. Without incremental updates it tracks ``_fit_told``
-        #: exactly, preserving the historical staleness behaviour.
-        self._full_fit_size = 0
         self._model_history: deque[SurrogateModel] = deque(maxlen=self.keep_models)
         self._best_idx = -1
         self._best_y = math.inf
@@ -232,20 +198,11 @@ class Optimizer:
         #: history but quarantined from fitting and incumbent tracking.
         self._n_finite = 0
 
-        #: counters for tests/benchmarks: inline (blocking) full fits vs
-        #: fits published by the background worker.
+        #: surrogate fits so far, for tests and benchmarks.
         self.n_fits = 0
-        self.n_background_fits = 0
 
-        # One re-entrant lock serializes all public-state mutation; the
-        # condition hands full-refit jobs to the lazily started worker.
-        # Lock order is always _lock → _refit_cond, never the reverse.
+        # One re-entrant lock serializes all public-state mutation.
         self._lock = threading.RLock()
-        self._refit_cond = threading.Condition()
-        self._refit_job: tuple[SurrogateModel, np.ndarray, np.ndarray, int, int] | None = None
-        self._refit_inflight = False
-        self._refit_thread: threading.Thread | None = None
-        self._closed = False
 
     @property
     def models(self) -> list[SurrogateModel]:
@@ -258,124 +215,38 @@ class Optimizer:
         if callable(self.base_estimator):
             return self.base_estimator()
         seed = int(self.rng.integers(0, 2**31))
-        if self.fit_jobs is not None:
-            try:
-                return get_surrogate(
-                    self.base_estimator, random_state=seed, n_jobs=self.fit_jobs
-                )
-            except TypeError:
-                pass  # surrogate without parallel fitting: fall through
         try:
             return get_surrogate(self.base_estimator, random_state=seed)
         except TypeError:
             return get_surrogate(self.base_estimator)
 
-    def _fit_model(self, model: SurrogateModel, X: np.ndarray, y: np.ndarray) -> None:
-        """Fit + observability: one ``refit`` record (latency digest and span)."""
-        with measure("refit", n_obs=len(y)):
-            model.fit(X, y)
-
     def _surrogate(self) -> SurrogateModel:
-        """The published surrogate, refitted only when stale enough.
+        """The cached surrogate, refitted only when stale enough.
 
-        A full refit is due when ``refit_every`` fresh observations
+        A refit is due when ``refit_every`` fresh observations
         accumulated (new tells plus changes of the pending set, so the
         default of 1 also refreshes constant-liar fantasies between asks)
-        or when the observation set has doubled since the last full fit
-        regardless of the throttle. With ``incremental=True`` per-tell
-        ``partial_fit`` absorbs freshness, so only the doubling override
-        reaches here. With ``background_refit=True`` a due refit is handed
-        to the worker and the *current* model keeps serving asks until the
-        new one is published — only the very first fit blocks.
+        or when the observation set has doubled since the last fit
+        regardless of the throttle. Each fit is one ``refit`` record
+        (latency digest and span).
         """
         told, pend = len(self.yi), len(self._pending)
         if self._model is not None:
             fresh = (told - self._fit_told) + abs(pend - self._fit_pending)
-            doubled = told >= 2 * max(self._full_fit_size, 1)
+            doubled = told >= 2 * max(self._fit_told, 1)
             if fresh < self.refit_every and not doubled:
-                return self._model
-            if self.background_refit:
-                self._schedule_refit()
                 return self._model
         X, y = self._augmented_data()
         model = self._new_model()
-        self._fit_model(model, X, y)
+        with measure("refit", n_obs=len(y)):
+            model.fit(X, y)
         self._model = model
         self._fit_told = told
         self._fit_pending = pend
-        self._full_fit_size = told
         self.n_fits += 1
         if self._model_history.maxlen:
             self._model_history.append(model)
         return model
-
-    def _schedule_refit(self) -> None:
-        """Queue a background full refit (caller holds ``self._lock``).
-
-        The training snapshot and the unfitted model instance — including
-        its rng draw for the surrogate seed — are both produced on the
-        *caller* thread, so the optimizer rng is never touched off-thread
-        and the background path consumes the same rng stream as the inline
-        one. At most one refit is in flight; while it runs, later asks keep
-        reading the current model instead of piling up jobs.
-        """
-        if self._refit_inflight or self._closed:
-            return
-        X, y = self._augmented_data()
-        model = self._new_model()
-        told, pend = len(self.yi), len(self._pending)
-        self._refit_inflight = True
-        if self._refit_thread is None or not self._refit_thread.is_alive():
-            self._refit_thread = threading.Thread(
-                target=self._refit_worker, name="surrogate-refit", daemon=True
-            )
-            self._refit_thread.start()
-        with self._refit_cond:
-            self._refit_job = (model, X, y, told, pend)
-            self._refit_cond.notify()
-
-    def _refit_worker(self) -> None:
-        while True:
-            with self._refit_cond:
-                while self._refit_job is None and not self._closed:
-                    self._refit_cond.wait()
-                if self._refit_job is None:
-                    return  # closed with nothing queued
-                job, self._refit_job = self._refit_job, None
-            model, X, y, told, pend = job
-            try:
-                self._fit_model(model, X, y)
-            except Exception:
-                with self._lock:
-                    self._refit_inflight = False
-                continue
-            with self._lock:
-                # Double-buffer publish: one attribute swap under the lock;
-                # concurrent asks read either the old or the new model.
-                self._model = model
-                self._fit_told = told
-                self._fit_pending = pend
-                self._full_fit_size = told
-                self.n_background_fits += 1
-                if self._model_history.maxlen:
-                    self._model_history.append(model)
-                self._refit_inflight = False
-
-    def close(self) -> None:
-        """Stop the background refit worker (idempotent).
-
-        Pending jobs are dropped; the last published model stays readable.
-        Only needed with ``background_refit=True`` — and even then the
-        worker is a daemon, so skipping ``close`` never hangs interpreter
-        shutdown.
-        """
-        with self._refit_cond:
-            self._closed = True
-            self._refit_job = None
-            self._refit_cond.notify_all()
-        thread = self._refit_thread
-        if thread is not None and thread.is_alive():
-            thread.join(timeout=10.0)
 
     # -- ask -----------------------------------------------------------------------
 
@@ -544,25 +415,6 @@ class Optimizer:
                 if y < self._best_y:
                     self._best_y = y
                     self._best_idx = len(self.yi) - 1
-                self._absorb_incremental(unit, y)
-
-    def _absorb_incremental(self, unit: np.ndarray, y: float) -> None:
-        """Fold one finite tell into the published model via ``partial_fit``.
-
-        On success the model is marked current (``_fit_told``/``_fit_pending``
-        resynced), so full refits only fire at dataset doubling. Constant-liar
-        fantasy refreshes between full fits are sacrificed — the stale lies
-        remain baked into the frozen structure, which is the documented
-        approximation of incremental mode. No-op unless ``incremental`` is on
-        and the surrogate supports partial fits.
-        """
-        if not self.incremental or self._model is None:
-            return
-        if not getattr(self._model, "supports_partial_fit", False):
-            return
-        self._model.partial_fit(unit.reshape(1, -1), [y])
-        self._fit_told = len(self.yi)
-        self._fit_pending = len(self._pending)
 
     def _pop_pending(
         self, unit: np.ndarray, x: list[Any]
@@ -620,7 +472,6 @@ class Optimizer:
             return {
                 "fit_told": int(self._fit_told),
                 "fit_pending": int(self._fit_pending),
-                "full_fit_size": int(self._full_fit_size),
                 "gains": [float(g) for g in self._gains],
                 "initial_cursor": int(self._initial_cursor),
             }
@@ -630,7 +481,8 @@ class Optimizer:
 
         Counters are clamped to the replayed history length so a truncated
         checkpoint can never make the optimizer think it is fresher than
-        the data it actually holds.
+        the data it actually holds. Unknown keys are ignored, such as the
+        ``full_fit_size`` of older checkpoints.
         """
         if not isinstance(state, dict):
             raise ValidationError("optimizer state must be a mapping")
@@ -638,7 +490,6 @@ class Optimizer:
             told = len(self.yi)
             self._fit_told = min(int(state.get("fit_told", 0)), told)
             self._fit_pending = max(int(state.get("fit_pending", 0)), 0)
-            self._full_fit_size = min(int(state.get("full_fit_size", 0)), told)
             gains = state.get("gains")
             if gains is not None and len(gains) == len(_HEDGE_ACQS):
                 self._gains = np.asarray(gains, dtype=float)

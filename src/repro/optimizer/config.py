@@ -31,19 +31,29 @@ Example::
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.bayesopt.optimizer import Optimizer
 from repro.bayesopt.space import Categorical, Dimension, Integer, Real, Space
 from repro.errors import ValidationError
 from repro.faults import FaultInjector, FaultSpec
 from repro.optimizer.problem import MetricConstraint, Objective, OptimizationProblem
-from repro.search.algos import SearchAlgorithm, SurrogateSearch
+from repro.search.algos import RandomSearch, SearchAlgorithm, SurrogateSearch
 from repro.search.schedulers import AsyncHyperBandScheduler, FIFOScheduler, TrialScheduler
 from repro.utils.serialization import load_json
 
 __all__ = ["OptimizerConf"]
+
+#: search kinds an ``algorithm`` block may name in its ``search`` key.
+_SEARCH_KINDS = ("surrogate", "skopt", "random")
+#: the other keys it may hold: the :class:`SurrogateSearch` batch size and
+#: every ``Optimizer`` keyword.
+_ALGORITHM_KEYS = frozenset(
+    {"batch_size"} | set(inspect.signature(Optimizer).parameters) - {"dimensions"}
+)
 
 
 def _parse_dimension(spec: Mapping[str, Any]) -> Dimension:
@@ -141,6 +151,7 @@ class OptimizerConf:
             raise ValidationError("trial_timeout_s must be > 0")
         if self.checkpoint_every < 1:
             raise ValidationError("checkpoint_every must be >= 1")
+        self._search_spec()  # validate the algorithm block early
         if self.serve is not None:
             from repro.observability.live import parse_serve_spec
 
@@ -201,24 +212,34 @@ class OptimizerConf:
     def build_search(self, space: Space) -> SearchAlgorithm:
         """Build the search algorithm from the ``algorithm`` block.
 
-        Unrecognized keys forward to :class:`SurrogateSearch` and on to
-        :class:`repro.bayesopt.Optimizer`, so the suggest hot-path knobs —
-        ``batch_size``, ``refit_every``, ``incremental``,
-        ``background_refit``, ``fit_jobs`` — are all configurable here.
+        For a surrogate search every key but ``search`` forwards to
+        :class:`SurrogateSearch` and on to :class:`repro.bayesopt.Optimizer`, so the suggest hot-path knobs
+        ``batch_size`` and ``refit_every`` are configurable here.
         """
-        algo = dict(self.algorithm)
-        kind = algo.pop("search", "surrogate").lower()
+        kind, algo = self._search_spec()
         if kind in ("surrogate", "skopt"):
             algo.setdefault("base_estimator", "ET")
             algo.setdefault("initial_point_generator", "lhs")
             algo.setdefault("acq_func", "gp_hedge")
             algo.setdefault("random_state", self.seed)
             return SurrogateSearch(space, mode="min", **algo)
-        if kind == "random":
-            from repro.search.algos import RandomSearch
+        return RandomSearch(space, mode="min", seed=self.seed)
 
-            return RandomSearch(space, mode="min", seed=self.seed)
-        raise ValidationError(f"unknown search algorithm {kind!r}")
+    def _search_spec(self) -> tuple[str, dict[str, Any]]:
+        """The ``algorithm`` block as (search kind, remaining keys).
+
+        Raises :class:`ValidationError` for an unknown search kind or key,
+        so a conf that names an option the optimizer does not have fails
+        when it is loaded, not when the campaign starts.
+        """
+        algo = dict(self.algorithm)
+        kind = str(algo.pop("search", "surrogate")).lower()
+        if kind not in _SEARCH_KINDS:
+            raise ValidationError(f"unknown search algorithm {kind!r}")
+        unknown = set(algo) - _ALGORITHM_KEYS
+        if unknown:
+            raise ValidationError(f"unknown algorithm keys: {sorted(unknown)}")
+        return kind, algo
 
     def build_scheduler(self) -> TrialScheduler:
         sched = dict(self.scheduler)

@@ -85,9 +85,6 @@ class SearchAlgorithm(abc.ABC):
         """
         return 0
 
-    def close(self) -> None:
-        """Release background resources (refit worker threads); idempotent."""
-
 
 class SurrogateSearch(SearchAlgorithm):
     """Model-based search wrapping :class:`repro.bayesopt.Optimizer`.
@@ -155,9 +152,6 @@ class SurrogateSearch(SearchAlgorithm):
 
     def fit_count(self) -> int:
         return self.optimizer.n_fits
-
-    def close(self) -> None:
-        self.optimizer.close()
 
 
 class RandomSearch(SearchAlgorithm):
@@ -258,6 +252,3 @@ class ConcurrencyLimiter(SearchAlgorithm):
 
     def fit_count(self) -> int:
         return self.searcher.fit_count()
-
-    def close(self) -> None:
-        self.searcher.close()

@@ -46,28 +46,12 @@ class SurrogateModel(abc.ABC):
     #: name used in configurations (``base_estimator='ET'``).
     name: str = ""
 
-    #: whether :meth:`partial_fit` performs a real incremental update.
-    supports_partial_fit: bool = False
-
     def __init__(self) -> None:
         self.n_features_: int | None = None
 
     @abc.abstractmethod
     def fit(self, X: Any, y: Any) -> "SurrogateModel":
         """Train on ``X`` (n, d) / ``y`` (n,); returns self."""
-
-    def partial_fit(self, X: Any, y: Any) -> "SurrogateModel":
-        """Fold fresh observations into an already-fitted model.
-
-        Implementations must be *publish-safe*: a concurrent ``predict``
-        from another thread may observe the model before or after the
-        update, but never a torn intermediate state (the background-refit
-        optimizer calls this while asks read the model). The default raises
-        — callers gate on :attr:`supports_partial_fit`.
-        """
-        raise ValidationError(
-            f"{type(self).__name__} does not support incremental updates"
-        )
 
     @abc.abstractmethod
     def predict(

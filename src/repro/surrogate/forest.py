@@ -34,13 +34,10 @@ class _BaseForest(SurrogateModel):
         max_features: int | Literal["sqrt"] | None = None,
         random_state: int | None = None,
         std_floor: float = 1e-9,
-        n_jobs: int | None = None,
     ) -> None:
         super().__init__()
         if n_estimators < 1:
             raise ValidationError("n_estimators must be >= 1")
-        if n_jobs is not None and n_jobs != -1 and n_jobs < 1:
-            raise ValidationError("n_jobs must be >= 1, -1, or None")
         check_max_features(max_features)
         self.n_estimators = int(n_estimators)
         self.max_depth = max_depth
@@ -49,57 +46,31 @@ class _BaseForest(SurrogateModel):
         self.max_features = max_features
         self.random_state = random_state
         self.std_floor = float(std_floor)
-        self.n_jobs = n_jobs
         self.estimators_: list[DecisionTreeRegressor] = []
-
-    def _worker_count(self) -> int:
-        if self.n_jobs is None:
-            return 1
-        if self.n_jobs == -1:
-            import os
-
-            return max(1, (os.cpu_count() or 1) - 1)
-        return int(self.n_jobs)
 
     def fit(self, X: Any, y: Any) -> "_BaseForest":
         X, y = check_fit_inputs(X, y)
         self.n_features_ = X.shape[1]
         rng = np.random.default_rng(self.random_state)
         n = len(y)
-        # Per-tree randomness (seed stream, bootstrap rows) is drawn
-        # sequentially from the forest rng *before* any tree is fitted, so
-        # the ensemble is byte-identical whether the fits below run serially
-        # or across a thread pool.
-        specs: list[tuple[np.random.Generator, np.ndarray | None]] = []
+        # Each tree's seed, then its bootstrap rows, are drawn from the
+        # forest rng in turn; the surrogate golden digests pin this order.
+        estimators: list[DecisionTreeRegressor] = []
         for _ in range(self.n_estimators):
-            tree_rng = np.random.default_rng(rng.integers(0, 2**63))
-            idx = rng.integers(0, n, size=n) if self._bootstrap else None
-            specs.append((tree_rng, idx))
-
-        def _build(spec: tuple[np.random.Generator, np.ndarray | None]) -> DecisionTreeRegressor:
-            tree_rng, idx = spec
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 splitter=self._splitter,
-                random_state=tree_rng,
+                random_state=np.random.default_rng(rng.integers(0, 2**63)),
             )
-            if idx is not None:
+            if self._bootstrap:
+                idx = rng.integers(0, n, size=n)
                 tree.fit(X[idx], y[idx])
             else:
                 tree.fit(X, y)
-            return tree
-
-        workers = min(self._worker_count(), self.n_estimators)
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                estimators = list(pool.map(_build, specs))
-        else:
-            estimators = [_build(spec) for spec in specs]
+            estimators.append(tree)
         self.estimators_ = estimators
         self._pack()
         return self
@@ -124,7 +95,6 @@ class _BaseForest(SurrogateModel):
         self._feat_all = np.concatenate([t._feat for t in trees])
         self._thr_all = np.concatenate([t._thr for t in trees])
         self._val_all = np.concatenate([t._val for t in trees])
-        self._count_all = np.concatenate([t._nsamp for t in trees])
 
     def _packed_leaves(self, X: np.ndarray) -> np.ndarray:
         """Packed leaf index for every (tree, row) pair, flat ``n_trees*n_rows``."""
@@ -154,36 +124,6 @@ class _BaseForest(SurrogateModel):
             std = preds.std(axis=0)
             return mean, np.maximum(std, self.std_floor)
         return mean
-
-    # -- incremental updates -------------------------------------------------------
-
-    supports_partial_fit = True
-
-    def partial_fit(self, X: Any, y: Any) -> "_BaseForest":
-        """Online insertion into every tree's leaf statistics.
-
-        Each fresh sample is routed through the packed node arrays once and
-        shifts the running mean of the leaf it lands in, per tree. Structure
-        is frozen until the next full refit; bootstrapped forests fold every
-        sample into every tree (the resampling distinction is restored at
-        the refit). The packed value array — the only array ``predict``
-        reads for outputs — is rebuilt on a copy and swapped in atomically,
-        so concurrent predicts never observe a torn update.
-        """
-        X, y = check_fit_inputs(X, y)
-        if not self.estimators_:
-            raise ValidationError(f"{type(self).__name__} is not fitted yet")
-        X = self._check_predict_input(X)
-        node = self._packed_leaves(X)
-        n_rows = len(X)
-        new_val = self._val_all.copy()
-        counts = self._count_all
-        for flat, value in zip(node, y[np.tile(np.arange(n_rows), len(self.estimators_))]):
-            n = counts[flat]
-            new_val[flat] += (value - new_val[flat]) / (n + 1.0)
-            counts[flat] = n + 1.0
-        self._val_all = new_val  # atomic publish
-        return self
 
 
 class RandomForestRegressor(_BaseForest):

@@ -90,22 +90,8 @@ class GradientBoostingRegressor(SurrogateModel):
         self.init_ = self._initial_prediction(y)
         pred = np.full(len(y), self.init_)
         self.estimators_ = []
-        self._boost(X, y, pred, rng, self.n_estimators)
-        # Retained for incremental stage appends (partial_fit).
-        self._X, self._y, self._rng = X, y, rng
-        return self
-
-    def _boost(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        pred: np.ndarray,
-        rng: np.random.Generator,
-        n_stages: int,
-    ) -> None:
-        """Append ``n_stages`` boosting stages to the current ensemble."""
         n = len(y)
-        for _ in range(n_stages):
+        for _ in range(self.n_estimators):
             grad = self._negative_gradient(y, pred)
             if self.subsample < 1.0:
                 idx = rng.choice(n, size=max(2, int(self.subsample * n)), replace=False)
@@ -126,39 +112,6 @@ class GradientBoostingRegressor(SurrogateModel):
             tree.set_leaf_values(updates)
             pred = pred + self.learning_rate * tree.predict(X)
             self.estimators_.append(tree)
-
-    # -- incremental updates -------------------------------------------------------
-
-    supports_partial_fit = True
-
-    #: soft cap on incremental growth: once the ensemble holds this many
-    #: times ``n_estimators`` stages, ``partial_fit`` refits from scratch.
-    _MAX_STAGE_FACTOR = 2
-
-    def partial_fit(self, X: Any, y: Any) -> "GradientBoostingRegressor":
-        """Fold fresh observations in by appending boosting stages.
-
-        Boosting is naturally incremental: a new stage fitted on the
-        residuals of the *accumulated* dataset updates the model for the
-        fresh observations at O(n) cost instead of the O(n_estimators · n
-        log n) of a from-scratch refit. Growth is bounded — once the
-        ensemble doubles its configured stage budget the whole model is
-        refitted, which also restores the fixed-size shape. Stages are
-        appended one at a time and each tree is fully built before it
-        becomes reachable, so concurrent predicts see a consistent prefix
-        of the ensemble.
-        """
-        X, y = check_fit_inputs(X, y)
-        if not self.estimators_:
-            return self.fit(X, y)
-        X = self._check_predict_input(X)
-        X_all = np.vstack([self._X, X])
-        y_all = np.concatenate([self._y, y])
-        if len(self.estimators_) >= self.n_estimators * self._MAX_STAGE_FACTOR:
-            return self.fit(X_all, y_all)
-        self._X, self._y = X_all, y_all
-        pred = np.asarray(self.predict(X_all))
-        self._boost(X_all, y_all, pred, self._rng, max(1, self.n_estimators // 25))
         return self
 
     def predict(
@@ -211,17 +164,6 @@ class GBRTQuantile(SurrogateModel):
         self.n_features_ = X.shape[1]
         for model in self._models:
             model.fit(X, y)
-        return self
-
-    supports_partial_fit = True
-
-    def partial_fit(self, X: Any, y: Any) -> "GBRTQuantile":
-        """Incremental stage appends across the three quantile models."""
-        X, y = check_fit_inputs(X, y)
-        if self.n_features_ is None:
-            return self.fit(X, y)
-        for model in self._models:
-            model.partial_fit(X, y)
         return self
 
     def predict(

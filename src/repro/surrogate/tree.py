@@ -272,40 +272,6 @@ class DecisionTreeRegressor(SurrogateModel):
         self._val = np.asarray(self.value_, dtype=np.float64)
         self._nsamp = np.asarray(self.n_node_samples_, dtype=np.float64)
 
-    # -- incremental updates -------------------------------------------------------
-
-    supports_partial_fit = True
-
-    def partial_fit(self, X: Any, y: Any) -> "DecisionTreeRegressor":
-        """Online insertion: route fresh samples to leaves, update leaf means.
-
-        The tree *structure* is frozen — each new sample only shifts the
-        running mean of the leaf it lands in, which is the cheap half of a
-        Mondrian-style online tree. Structural growth is deferred to the next
-        full refit (the optimizer forces one once the dataset has doubled).
-
-        Publish-safety: the updated value array is built on a copy and then
-        swapped in with a single attribute assignment, so a concurrent
-        ``predict`` sees either the old or the new leaf values, never a torn
-        mix of both.
-        """
-        X, y = check_fit_inputs(X, y)
-        if not self.value_:
-            raise ValidationError("DecisionTreeRegressor is not fitted yet")
-        X = self._check_predict_input(X)
-        leaves = self.apply(X)
-        new_val = self._val.copy()
-        counts = self._nsamp
-        for leaf, value in zip(leaves, y):
-            n = counts[leaf]
-            new_val[leaf] += (value - new_val[leaf]) / (n + 1.0)
-            counts[leaf] = n + 1.0
-        self._val = new_val  # atomic publish
-        for leaf in np.unique(leaves):
-            self.value_[int(leaf)] = float(new_val[leaf])
-            self.n_node_samples_[int(leaf)] = int(counts[leaf])
-        return self
-
     # -- inference ---------------------------------------------------------------
 
     def apply(self, X: Any) -> np.ndarray:

@@ -107,6 +107,16 @@ class TestOptimizerConf:
         with pytest.raises(ValidationError, match="unknown optimizer_conf keys"):
             OptimizerConf.from_dict(self._conf_dict(banana=1))
 
+    @pytest.mark.parametrize("key", ["incremental", "background_refit", "fit_jobs", "banana"])
+    def test_unknown_algorithm_key_rejected_at_load(self, key):
+        algorithm = {"base_estimator": "ET", "refit_every": 4, "batch_size": 2, key: 1}
+        with pytest.raises(ValidationError, match=f"unknown algorithm keys: \\['{key}'\\]"):
+            OptimizerConf.from_dict(self._conf_dict(algorithm=algorithm))
+
+    def test_unknown_search_kind_rejected_at_load(self):
+        with pytest.raises(ValidationError, match="unknown search algorithm 'wat'"):
+            OptimizerConf.from_dict(self._conf_dict(algorithm={"search": "wat"}))
+
     def test_unknown_variable_type(self):
         with pytest.raises(ValidationError):
             OptimizerConf.from_dict(
